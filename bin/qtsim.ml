@@ -448,6 +448,112 @@ let build_config ?(subcontracting = false) ?(price = 0.) ?pool params competitiv
   }
 
 (* ------------------------------------------------------------------ *)
+(* Marketplace flags (market, stream)                                   *)
+(* ------------------------------------------------------------------ *)
+
+let slots_arg =
+  Arg.(
+    value & opt int 2
+    & info [ "slots" ] ~docv:"N" ~doc:"Concurrent contract slots per seller.")
+
+let queue_arg =
+  Arg.(
+    value & opt int 4
+    & info [ "queue" ] ~docv:"N"
+        ~doc:"Admission queue depth per seller before rejection.")
+
+let no_batching_arg =
+  Arg.(
+    value & flag
+    & info [ "no-batching" ]
+        ~doc:"Disable cross-trade RFB coalescing (baseline traffic).")
+
+let workers_arg =
+  Arg.(
+    value & opt int 1
+    & info [ "workers" ] ~docv:"N"
+        ~doc:"Parallel execution servers per node (with --execute).")
+
+let no_sharing_arg =
+  Arg.(
+    value & flag
+    & info [ "no-sharing" ]
+        ~doc:"Execute identical purchased sub-queries separately per trade.")
+
+(* The marketplace settings [market] and [stream] share, as a term that
+   yields a builder.  Each command applies it to its cost parameters and
+   domain pool once its own inputs (schema, queries, arrivals) are
+   checked, so errors in those are reported first.  The flags whose
+   default or help text differs between the two commands are passed
+   in. *)
+let market_config_term ~policy ~concurrency ~execute ~exec_seed
+    ~no_exec_feedback ~slo_surge =
+  let build slots queue policy no_batching concurrency seed competitive execute
+      workers exec_seed no_exec_feedback no_sharing cache cache_clients
+      cache_latency cache_fraction cache_bytes pricing surge_multiplier
+      surge_high surge_low markup slo_surge reserve_priority reserve_premium
+      params pool =
+    let module Market = Qt_market.Market in
+    let module Admission = Qt_market.Admission in
+    let policy =
+      match Admission.policy_of_string policy with
+      | Some p -> p
+      | None ->
+        failwith
+          (Printf.sprintf
+             "unknown admission policy %s (try fifo, priority or proportional)"
+             policy)
+    in
+    let strategy =
+      if competitive then Qt_trading.Strategy.default_competitive
+      else Qt_trading.Strategy.Cooperative
+    in
+    {
+      (Market.default_config params) with
+      Market.trader =
+        {
+          (Qt_core.Trader.default_config params) with
+          Qt_core.Trader.strategy_of = (fun _ -> strategy);
+          pool;
+          seller_template =
+            {
+              (Qt_core.Seller.default_config params) with
+              Qt_core.Seller.strategy = strategy;
+              pool;
+            };
+        };
+      admission =
+        { Admission.default_config with Admission.slots; queue_limit = queue; policy };
+      batching = not no_batching;
+      concurrency;
+      seed;
+      execute =
+        (if execute then
+           Some
+             {
+               Market.workers;
+               store_seed = exec_seed;
+               exec_feedback = not no_exec_feedback;
+               share_results = not no_sharing;
+             }
+         else None);
+      qcache = build_qcache cache cache_clients cache_latency cache_fraction
+          cache_bytes;
+      pricing =
+        build_pricing pricing ~surge_multiplier ~surge_high ~surge_low ~markup
+          ~slo_surge ~reserve_priority ~reserve_premium;
+      pool;
+    }
+  in
+  Term.(
+    const build $ slots_arg $ queue_arg $ policy $ no_batching_arg $ concurrency
+    $ seed_arg $ competitive_arg $ execute $ workers_arg $ exec_seed
+    $ no_exec_feedback $ no_sharing_arg $ cache_arg $ cache_clients_arg
+    $ cache_latency_arg $ cache_fraction_arg $ cache_bytes_arg $ pricing_arg
+    $ surge_multiplier_arg $ surge_high_arg $ surge_low_arg $ markup_arg
+    $ slo_surge $ reserve_priority_arg $ reserve_premium_arg)
+
+(* ------------------------------------------------------------------ *)
 (* optimize                                                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -774,75 +880,24 @@ let workload_cmd =
 (* market                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let run_market schema nodes partitions replicas profile count concurrency slots
-    queue policy no_batching seed competitive json trace metrics execute workers
-    exec_seed no_exec_feedback no_sharing cache cache_clients cache_latency
-    cache_fraction cache_bytes pricing surge_multiplier surge_high surge_low
-    markup reserve_priority reserve_premium domains =
+let run_market schema nodes partitions replicas profile count json trace metrics
+    config_of domains =
   with_pool domains @@ fun pool ->
   let module Market = Qt_market.Market in
   let module Admission = Qt_market.Admission in
   let params = params_of_profile profile in
   let federation = build_federation schema nodes partitions replicas false in
   let queries = batch_queries schema ~count in
-  let policy =
-    match Admission.policy_of_string policy with
-    | Some p -> p
-    | None ->
-      failwith
-        (Printf.sprintf "unknown admission policy %s (try fifo, priority or \
-                         proportional)" policy)
-  in
-  let strategy =
-    if competitive then Qt_trading.Strategy.default_competitive
-    else Qt_trading.Strategy.Cooperative
-  in
-  let config =
-    {
-      (Market.default_config params) with
-      Market.trader =
-        {
-          (Qt_core.Trader.default_config params) with
-          Qt_core.Trader.strategy_of = (fun _ -> strategy);
-          pool;
-          seller_template =
-            {
-              (Qt_core.Seller.default_config params) with
-              Qt_core.Seller.strategy = strategy;
-              pool;
-            };
-        };
-      admission =
-        { Admission.default_config with Admission.slots; queue_limit = queue; policy };
-      batching = not no_batching;
-      concurrency;
-      seed;
-      execute =
-        (if execute then
-           Some
-             {
-               Market.workers;
-               store_seed = exec_seed;
-               exec_feedback = not no_exec_feedback;
-               share_results = not no_sharing;
-             }
-         else None);
-      qcache = build_qcache cache cache_clients cache_latency cache_fraction
-          cache_bytes;
-      pricing =
-        build_pricing pricing ~surge_multiplier ~surge_high ~surge_low ~markup
-          ~slo_surge:false ~reserve_priority ~reserve_premium;
-      pool;
-    }
-  in
+  let config = config_of params pool in
   let obs = obs_of_trace trace in
   let s = Market.run ~obs config federation queries in
   (* Every executed answer must equal direct global evaluation — the same
      oracle `optimize --execute` uses, here across concurrent trades. *)
   let exec_failures =
-    if not execute then 0
-    else begin
-      let store = Qt_exec.Store.generate ~seed:exec_seed federation in
+    match config.Market.execute with
+    | None -> 0
+    | Some e ->
+      let store = Qt_exec.Store.generate ~seed:e.Market.store_seed federation in
       Qt_exec.Naive.materialize_views store federation;
       List.fold_left
         (fun acc (trade, _plan, table) ->
@@ -853,7 +908,6 @@ let run_market schema nodes partitions replicas profile count concurrency slots
             acc + 1
           end)
         0 s.Market.results
-    end
   in
   Option.iter
     (fun path ->
@@ -952,28 +1006,11 @@ let market_cmd =
       & info [ "concurrency" ] ~docv:"N"
           ~doc:"Max trades in flight at once (0 = all).")
   in
-  let slots_arg =
-    Arg.(
-      value & opt int 2
-      & info [ "slots" ] ~docv:"N" ~doc:"Concurrent contract slots per seller.")
-  in
-  let queue_arg =
-    Arg.(
-      value & opt int 4
-      & info [ "queue" ] ~docv:"N"
-          ~doc:"Admission queue depth per seller before rejection.")
-  in
   let policy_arg =
     Arg.(
       value & opt string "fifo"
       & info [ "policy" ] ~docv:"POLICY"
           ~doc:"Admission arbitration: fifo, priority or proportional.")
-  in
-  let no_batching_arg =
-    Arg.(
-      value & flag
-      & info [ "no-batching" ]
-          ~doc:"Disable cross-trade RFB coalescing (baseline traffic).")
   in
   let json_arg =
     Arg.(
@@ -988,12 +1025,6 @@ let market_cmd =
             "Execute every admitted plan on the distributed scheduler (tasks \
              interleaved on the shared timeline) and verify each answer \
              against direct evaluation.")
-  in
-  let workers_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "workers" ] ~docv:"N"
-          ~doc:"Parallel execution servers per node (with --execute).")
   in
   let exec_seed_arg =
     Arg.(
@@ -1011,23 +1042,14 @@ let market_cmd =
             "Hide measured execution backlog from seller pricing (static \
              estimates only).")
   in
-  let no_sharing_arg =
-    Arg.(
-      value & flag
-      & info [ "no-sharing" ]
-          ~doc:"Execute identical purchased sub-queries separately per trade.")
-  in
   Cmd.v
     (Cmd.info "market" ~doc)
     Term.(
       const run_market $ schema_arg $ nodes_arg $ partitions_arg $ replicas_arg
-      $ profile_arg $ count_arg $ concurrency_arg $ slots_arg $ queue_arg
-      $ policy_arg $ no_batching_arg $ seed_arg $ competitive_arg $ json_arg
-      $ trace_arg $ metrics_arg $ market_execute_arg $ workers_arg
-      $ exec_seed_arg $ no_exec_feedback_arg $ no_sharing_arg $ cache_arg
-      $ cache_clients_arg $ cache_latency_arg $ cache_fraction_arg
-      $ cache_bytes_arg $ pricing_arg $ surge_multiplier_arg $ surge_high_arg
-      $ surge_low_arg $ markup_arg $ reserve_priority_arg $ reserve_premium_arg
+      $ profile_arg $ count_arg $ json_arg $ trace_arg $ metrics_arg
+      $ market_config_term ~policy:policy_arg ~concurrency:concurrency_arg
+          ~execute:market_execute_arg ~exec_seed:exec_seed_arg
+          ~no_exec_feedback:no_exec_feedback_arg ~slo_surge:(const false)
       $ domains_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -1042,13 +1064,9 @@ let read_file path =
   s
 
 let run_stream schema nodes partitions replicas profile rate process burst_on
-    burst_off queries duration templates zipf mix deadlines shedding concurrency
-    slots queue policy admission_retries no_batching seed arrival_seed
-    competitive json trace metrics execute workers exec_seed no_exec_feedback
-    no_sharing cache cache_clients cache_latency cache_fraction cache_bytes
-    pricing surge_multiplier surge_high surge_low markup slo_surge
-    reserve_priority reserve_premium record replay scrape_interval slo series
-    openmetrics latency_domain domains =
+    burst_off queries duration templates zipf mix deadlines shedding
+    admission_retries arrival_seed json trace metrics config_of record replay
+    scrape_interval slo series openmetrics latency_domain domains =
   with_pool domains @@ fun pool ->
   let module Market = Qt_market.Market in
   let module Admission = Qt_market.Admission in
@@ -1101,56 +1119,10 @@ let run_stream schema nodes partitions replicas profile rate process burst_on
       output_string oc (Arrivals.to_trace arrivals);
       close_out oc)
     record;
-  let policy =
-    match Admission.policy_of_string policy with
-    | Some p -> p
-    | None ->
-      failwith
-        (Printf.sprintf
-           "unknown admission policy %s (try fifo, priority or proportional)"
-           policy)
-  in
-  let strategy =
-    if competitive then Qt_trading.Strategy.default_competitive
-    else Qt_trading.Strategy.Cooperative
-  in
   let base =
     {
-      (Market.default_config params) with
-      Market.trader =
-        {
-          (Qt_core.Trader.default_config params) with
-          Qt_core.Trader.strategy_of = (fun _ -> strategy);
-          pool;
-          seller_template =
-            {
-              (Qt_core.Seller.default_config params) with
-              Qt_core.Seller.strategy = strategy;
-              pool;
-            };
-        };
-      admission =
-        { Admission.default_config with Admission.slots; queue_limit = queue; policy };
-      max_admission_retries = admission_retries;
-      batching = not no_batching;
-      concurrency;
-      seed;
-      execute =
-        (if execute then
-           Some
-             {
-               Market.workers;
-               store_seed = exec_seed;
-               exec_feedback = not no_exec_feedback;
-               share_results = not no_sharing;
-             }
-         else None);
-      qcache = build_qcache cache cache_clients cache_latency cache_fraction
-          cache_bytes;
-      pricing =
-        build_pricing pricing ~surge_multiplier ~surge_high ~surge_low ~markup
-          ~slo_surge ~reserve_priority ~reserve_premium;
-      pool;
+      (config_of params pool) with
+      Market.max_admission_retries = admission_retries;
     }
   in
   let slo_rules = List.map (fun s -> ok_or_fail (Qt_obs.Slo.parse s)) slo in
@@ -1376,17 +1348,6 @@ let stream_cmd =
       & info [ "concurrency" ] ~docv:"N"
           ~doc:"Max trades optimizing at once (0 = unlimited).")
   in
-  let slots_arg =
-    Arg.(
-      value & opt int 2
-      & info [ "slots" ] ~docv:"N" ~doc:"Concurrent contract slots per seller.")
-  in
-  let queue_arg =
-    Arg.(
-      value & opt int 4
-      & info [ "queue" ] ~docv:"N"
-          ~doc:"Admission queue depth per seller before rejection.")
-  in
   let policy_arg =
     Arg.(
       value & opt string "priority"
@@ -1403,12 +1364,6 @@ let stream_cmd =
             "Re-optimization attempts after an admission rejection before a \
              query is abandoned (stream mode also stops retrying at the \
              deadline).")
-  in
-  let no_batching_arg =
-    Arg.(
-      value & flag
-      & info [ "no-batching" ]
-          ~doc:"Disable cross-trade RFB coalescing (baseline traffic).")
   in
   let arrival_seed_arg =
     Arg.(
@@ -1432,12 +1387,6 @@ let stream_cmd =
             "Execute completed plans on the distributed scheduler; measured \
              backlog re-prices sellers under the stream.")
   in
-  let workers_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "workers" ] ~docv:"N"
-          ~doc:"Parallel execution servers per node (with --execute).")
-  in
   let exec_seed_arg =
     Arg.(
       value & opt int 11
@@ -1451,12 +1400,6 @@ let stream_cmd =
       value & flag
       & info [ "no-exec-feedback" ]
           ~doc:"Hide measured execution backlog from seller pricing.")
-  in
-  let no_sharing_arg =
-    Arg.(
-      value & flag
-      & info [ "no-sharing" ]
-          ~doc:"Execute identical purchased sub-queries separately per trade.")
   in
   let record_arg =
     Arg.(
@@ -1523,15 +1466,11 @@ let stream_cmd =
       const run_stream $ schema_arg $ nodes_arg $ partitions_arg $ replicas_arg
       $ profile_arg $ rate_arg $ process_arg $ burst_on_arg $ burst_off_arg
       $ queries_arg $ duration_arg $ templates_arg $ zipf_arg $ mix_arg
-      $ deadlines_arg $ shedding_arg $ concurrency_arg $ slots_arg $ queue_arg
-      $ policy_arg $ admission_retries_arg $ no_batching_arg $ seed_arg
-      $ arrival_seed_arg
-      $ competitive_arg $ json_arg $ trace_arg $ metrics_arg
-      $ stream_execute_arg $ workers_arg $ exec_seed_arg $ no_exec_feedback_arg
-      $ no_sharing_arg $ cache_arg $ cache_clients_arg $ cache_latency_arg
-      $ cache_fraction_arg $ cache_bytes_arg $ pricing_arg
-      $ surge_multiplier_arg $ surge_high_arg $ surge_low_arg $ markup_arg
-      $ slo_surge_arg $ reserve_priority_arg $ reserve_premium_arg
+      $ deadlines_arg $ shedding_arg $ admission_retries_arg $ arrival_seed_arg
+      $ json_arg $ trace_arg $ metrics_arg
+      $ market_config_term ~policy:policy_arg ~concurrency:concurrency_arg
+          ~execute:stream_execute_arg ~exec_seed:exec_seed_arg
+          ~no_exec_feedback:no_exec_feedback_arg ~slo_surge:slo_surge_arg
       $ record_arg $ replay_arg
       $ scrape_interval_arg $ slo_arg $ series_arg $ openmetrics_arg
       $ latency_domain_arg $ domains_arg)

@@ -97,8 +97,14 @@ val cancel : t -> now:float -> trade:int -> handle list
     Returns contracts promoted into the freed slots, as {!finish}. *)
 
 type stats = {
-  admitted : int;  (** Contracts that entered service. *)
-  accepted : int;  (** Submissions not rejected (started or queued). *)
+  admitted : int;
+      (** Contracts that entered service ({!submit} starting them, or a
+          later promotion). *)
+  accepted : int;
+      (** Submissions not rejected (started or queued).  Once the queue
+          has drained, [accepted = completed + canceled], and
+          [accepted - admitted] counts the contracts canceled while still
+          queued: they were accepted but never entered service. *)
   rejected : int;
   completed : int;
   canceled : int;

@@ -313,6 +313,12 @@ let admission_of st node =
     Hashtbl.replace st.admissions node a;
     a
 
+let schedule_promoted st seller ~now promoted =
+  List.iter
+    (fun p ->
+      Event_queue.push st.completions ~time:(now +. Admission.work p) (seller, p))
+    promoted
+
 (* Fire one contract-completion event: free the slot, start the promoted
    waiters and schedule their completions.  Events whose contract was
    canceled in the meantime are skipped — the stale-event guard that
@@ -331,42 +337,9 @@ let fire_completion st t seller h =
              ]
            ~t0:(Admission.started_at h) ~t1:t ()
           : int);
-    let promoted = Admission.finish adm ~now:t h in
-    List.iter
-      (fun p ->
-        Event_queue.push st.completions
-          ~time:(t +. Admission.work p)
-          (seller, p))
-      promoted;
+    schedule_promoted st seller ~now:t (Admission.finish adm ~now:t h);
     st.on_complete (Admission.trade_of h) ~seller t
   end
-
-(* Fire every contract completion up to [upto]. *)
-let rec drain_completions st ~upto =
-  match Event_queue.peek_time st.completions with
-  | Some t when t <= upto -> (
-    match Event_queue.pop st.completions with
-    | None -> ()
-    | Some (t, (seller, h)) ->
-      fire_completion st t seller h;
-      drain_completions st ~upto)
-  | _ -> ()
-
-(* Advance both event streams together: contract completions (costing
-   work at the admission layer) and execution-task completions (row work
-   at the scheduler), so backlog-derived load is current whenever a
-   pricing round reads it. *)
-let drain_all st ~upto =
-  drain_completions st ~upto;
-  match st.sched with
-  | Some sched -> Execsched.drain sched ~upto
-  | None -> ()
-
-let schedule_promoted st seller ~now promoted =
-  List.iter
-    (fun p ->
-      Event_queue.push st.completions ~time:(now +. Admission.work p) (seller, p))
-    promoted
 
 (* The buyer's effective view of a seller's load: the base profile, plus
    what the admission layer says the node is already committed to, plus
@@ -434,28 +407,22 @@ let make_transport st tr : Seller.response Transport.t =
     bytes = (fun () -> tr.t_bytes);
   }
 
-(* One contract per (seller, trade): the plan's purchased offers rolled
-   up by seller, in ascending id order. *)
-let contracts_of (outcome : Trader.outcome) =
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun (o : Offer.t) ->
-      let prev = Option.value (Hashtbl.find_opt tbl o.Offer.seller) ~default:0. in
-      Hashtbl.replace tbl o.Offer.seller (prev +. o.Offer.true_cost))
-    outcome.Trader.purchased;
-  Hashtbl.fold (fun s w acc -> (s, w) :: acc) tbl [] |> List.sort compare
+(* The plan's purchased offers rolled up by seller, in ascending id
+   order: summing [true_cost] gives one contract per (seller, trade);
+   summing [quoted] gives what the buyer pays each seller (surge and
+   markup included), the revenue the pricing layer accounts.  Direct
+   recursion, not [List.iter]: it runs once per trading outcome and
+   allocates no closure. *)
+let rec roll_up amount tbl = function
+  | [] ->
+    Hashtbl.fold (fun s w acc -> (s, w) :: acc) tbl [] |> List.sort compare
+  | (o : Offer.t) :: rest ->
+    let prev = Option.value (Hashtbl.find_opt tbl o.Offer.seller) ~default:0. in
+    Hashtbl.replace tbl o.Offer.seller (prev +. amount o);
+    roll_up amount tbl rest
 
-(* What the buyer pays each seller: the plan's purchased offers rolled
-   up by seller at their {e quoted} prices (surge and markup included),
-   the revenue the pricing layer accounts. *)
-let prices_of (outcome : Trader.outcome) =
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun (o : Offer.t) ->
-      let prev = Option.value (Hashtbl.find_opt tbl o.Offer.seller) ~default:0. in
-      Hashtbl.replace tbl o.Offer.seller (prev +. o.Offer.quoted))
-    outcome.Trader.purchased;
-  Hashtbl.fold (fun s w acc -> (s, w) :: acc) tbl [] |> List.sort compare
+let per_seller amount (outcome : Trader.outcome) =
+  roll_up amount (Hashtbl.create 8) outcome.Trader.purchased
 
 (* Order-sensitive structural digest of a result table (header included).
    Scheduled execution is deterministic, so equal digests across runs mean
@@ -951,6 +918,24 @@ let exec_node_stats workers (es : Execsched.stats) =
       })
     es.Execsched.exec_nodes
 
+(* The execution report and the overall makespan (trading extended to
+   the last execution task).  [exec_trades] lists the per-trade answers
+   the report keeps. *)
+let exec_report st ~trading_makespan exec_trades =
+  match (st.sched, st.cfg.execute) with
+  | Some sched, Some e ->
+    let es = Execsched.stats sched in
+    ( Some
+        {
+          exec_makespan = es.Execsched.exec_makespan;
+          tasks_run = es.Execsched.tasks_run;
+          shared_results = es.Execsched.shared_results;
+          exec_trades = exec_trades sched;
+          exec_nodes = exec_node_stats e.workers es;
+        },
+      Float.max trading_makespan es.Execsched.exec_makespan )
+  | _ -> (None, trading_makespan)
+
 let seller_stats_of st ~horizon =
   List.sort compare (Federation.node_ids st.federation)
   |> List.map (fun id ->
@@ -984,249 +969,6 @@ let emit_pool_span obs pool ~at =
          ~at ()
         : int)
   | _ -> ()
-
-let run ?(obs = Obs.disabled) cfg federation queries =
-  let st = make_market ~obs cfg federation in
-  let trades =
-    Array.of_list
-      (List.mapi
-         (fun i q -> make_trade ~index:i ~priority:(cfg.priority_of i) q)
-         queries)
-  in
-  Array.iter
-    (fun tr ->
-      Obs.track_name obs tr.t_buyer (Printf.sprintf "trade %d" tr.t_index);
-      Runtime.register st.rt tr.t_buyer)
-    trades;
-  let ready = Queue.create () in
-  Array.iter (fun tr -> Queue.add tr.t_index ready) trades;
-  qcache_install_exec_hook st trades;
-  (* Pricing bookkeeping at contract completion: first completion per
-     seller marks the seller done for the trade, and a reserved trade's
-     completed contracts count toward the reservation fill rate.  (Batch
-     runs have no deadlines, so credited revenue is never clawed back.) *)
-  (match st.pstate with
-  | None -> ()
-  | Some p ->
-    st.on_complete <-
-      (fun i ~seller _t ->
-        let tr = trades.(i) in
-        if not (List.mem seller tr.t_done) then begin
-          tr.t_done <- seller :: tr.t_done;
-          if tr.t_reserved then Pricing.reserve_completed p ~seller
-        end));
-  let parked = ref [] in
-  let running = ref 0 in
-  let complete_admitted tr ~now ~plan ~plan_cost works =
-    tr.t_status <- Some Completed;
-    tr.t_plan_cost <- plan_cost;
-    tr.t_contracts <- works;
-    tr.t_finished_at <- now;
-    tr.t_plan <- Some plan;
-    match st.sched with
-    | Some sched ->
-      Execsched.submit sched ~trade:tr.t_index ~buyer:tr.t_buyer ~at:now plan
-    | None -> ()
-  in
-  let handle_ok tr (outcome : Trader.outcome) =
-    let now = Float.max (Runtime.node_clock st.rt tr.t_buyer) st.mclock in
-    drain_all st ~upto:now;
-    st.mclock <- Float.max st.mclock now;
-    let works = contracts_of outcome in
-    if st.pstate <> None then tr.t_prices <- prices_of outcome;
-    match try_admit st tr ~now works with
-    | Ok () ->
-      qcache_note_traded st tr ~plan:outcome.Trader.plan
-        ~plan_cost:(Cost.response outcome.Trader.cost) works;
-      complete_admitted tr ~now ~plan:outcome.Trader.plan
-        ~plan_cost:(Cost.response outcome.Trader.cost) works
-    | Error seller ->
-      if tr.t_attempts <= cfg.max_admission_retries then begin
-        st.retries <- st.retries + 1;
-        penalize tr seller cfg.rejection_penalty;
-        Queue.add tr.t_index ready
-      end
-      else begin
-        tr.t_status <- Some Admission_failed;
-        tr.t_finished_at <- now
-      end
-  in
-  (* Probe the cache tier before spending a fiber on a trade.  A result
-     hit completes the trade outright; a statement hit goes straight to
-     admission with the remembered contracts (falling back to fresh
-     trading if admission rejects them — no penalty, the cached plan just
-     stopped fitting the market).  Returns [true] when the trade was
-     served without trading. *)
-  let try_cache tr =
-    (* Materialize every execution completion at or before the probe time
-       first, so an answer that already finished on the timeline is
-       visible to the result cache (the fill hook fires from the drain). *)
-    if st.qcache <> None then
-      drain_all st ~upto:(Float.max (Runtime.node_clock st.rt tr.t_buyer) st.mclock);
-    match qcache_probe st tr with
-    | `Off | `Miss -> false
-    | `Result (q, e) ->
-      let now = Float.max (Runtime.node_clock st.rt tr.t_buyer) st.mclock in
-      drain_all st ~upto:now;
-      st.mclock <- Float.max st.mclock now;
-      tr.t_attempts <- tr.t_attempts + 1;
-      let now = qcache_serve_result st q tr e ~now in
-      st.mclock <- Float.max st.mclock now;
-      true
-    | `Stmt (q, e) -> (
-      let now = Float.max (Runtime.node_clock st.rt tr.t_buyer) st.mclock in
-      drain_all st ~upto:now;
-      st.mclock <- Float.max st.mclock now;
-      let works = e.Statement_cache.contracts in
-      (* A statement hit skips negotiation, so the contracts' work is the
-         only price signal available: the cached plan is bought at cost. *)
-      if st.pstate <> None then tr.t_prices <- works;
-      match try_admit st tr ~now works with
-      | Ok () ->
-        tr.t_attempts <- tr.t_attempts + 1;
-        tr.t_cache_hit <- Some Cache_stmt;
-        Tier.note_trade_avoided q.q_tier;
-        complete_admitted tr ~now ~plan:e.Statement_cache.plan
-          ~plan_cost:e.Statement_cache.plan_cost works;
-        true
-      | Error _ -> false)
-  in
-  let drive tr = function
-    | Awaiting (req, k) ->
-      tr.t_rounds <- tr.t_rounds + 1;
-      parked := (tr.t_index, req, k) :: !parked
-    | Finished res ->
-      decr running;
-      (match res with
-      | Ok outcome ->
-        tr.t_phases <-
-          Trader.add_phase_stats tr.t_phases outcome.Trader.phases;
-        handle_ok tr outcome
-      | Error _ ->
-        tr.t_status <- Some No_plan;
-        tr.t_finished_at <-
-          Float.max (Runtime.node_clock st.rt tr.t_buyer) st.mclock)
-  in
-  let cap = if cfg.concurrency <= 0 then max_int else cfg.concurrency in
-  let start_more () =
-    while !running < cap && not (Queue.is_empty ready) do
-      let tr = trades.(Queue.pop ready) in
-      if not (try_cache tr) then begin
-        incr running;
-        launch_fiber st tr ~drive
-      end
-    done
-  in
-  let execute_wave () =
-    let waiting = List.sort (fun (a, _, _) (b, _, _) -> compare a b) !parked in
-    parked := [];
-    let t_close = wave_close st trades waiting in
-    drain_all st ~upto:t_close;
-    serve_wave st trades waiting ~t_close ~drive
-  in
-  let rec market_loop () =
-    start_more ();
-    if !parked <> [] then begin
-      execute_wave ();
-      market_loop ()
-    end
-  in
-  market_loop ();
-  drain_all st ~upto:infinity;
-  let trading_makespan =
-    Array.fold_left (fun acc tr -> Float.max acc tr.t_finished_at) st.mclock trades
-  in
-  emit_pool_span obs cfg.pool ~at:trading_makespan;
-  let exec, results =
-    match (st.sched, cfg.execute) with
-    | Some sched, Some e ->
-      let es = Execsched.stats sched in
-      let exec_nodes = exec_node_stats e.workers es in
-      let exec_trades, results =
-        Array.fold_right
-          (fun tr (ets, res) ->
-            match (Execsched.result sched ~trade:tr.t_index, tr.t_plan) with
-            | Some table, Some plan ->
-              let et =
-                {
-                  et_trade = tr.t_index;
-                  et_rows = List.length table.Table.rows;
-                  et_digest = table_digest table;
-                  et_finished_at =
-                    Option.value
-                      (Execsched.finished_at sched ~trade:tr.t_index)
-                      ~default:0.;
-                }
-              in
-              (et :: ets, (tr.t_index, plan, table) :: res)
-            | _ -> (
-              (* Result-cache hits never reach the scheduler, but their
-                 answers still belong in [results] so callers can oracle
-                 them against fresh execution. *)
-              match (tr.t_cache_table, tr.t_plan) with
-              | Some table, Some plan ->
-                (ets, (tr.t_index, plan, table) :: res)
-              | _ -> (ets, res)))
-          trades ([], [])
-      in
-      ( Some
-          {
-            exec_makespan = es.Execsched.exec_makespan;
-            tasks_run = es.Execsched.tasks_run;
-            shared_results = es.Execsched.shared_results;
-            exec_trades;
-            exec_nodes;
-          },
-        results )
-    | _ -> (None, [])
-  in
-  let makespan =
-    match exec with
-    | Some e -> Float.max trading_makespan e.exec_makespan
-    | None -> trading_makespan
-  in
-  let sellers = seller_stats_of st ~horizon:trading_makespan in
-  let trade_list =
-    Array.to_list
-      (Array.map
-         (fun tr ->
-           {
-             trade = tr.t_index;
-             status = Option.value tr.t_status ~default:No_plan;
-             attempts = tr.t_attempts;
-             rounds = tr.t_rounds;
-             plan_cost = tr.t_plan_cost;
-             messages = tr.t_messages;
-             bytes = tr.t_bytes;
-             sim_time = tr.t_finished_at;
-             contracts = tr.t_contracts;
-             phases = tr.t_phases;
-           })
-         trades)
-  in
-  let completed =
-    List.length (List.filter (fun t -> t.status = Completed) trade_list)
-  in
-  let wire = Runtime.stats st.rt in
-  {
-    trades = trade_list;
-    sellers;
-    batcher = Batcher.stats st.batcher;
-    cache = Seller.pool_stats st.caches;
-    completed;
-    failed = List.length trade_list - completed;
-    admission_retries = st.retries;
-    trading_makespan;
-    makespan;
-    wire_messages = wire.Runtime.messages;
-    wire_bytes = wire.Runtime.bytes;
-    offer_rtt = summarize st.rtt;
-    queue_wait = summarize st.waits;
-    exec;
-    qcache = Option.map (fun q -> Tier.stats q.q_tier) st.qcache;
-    pricing = Option.map Pricing.stats st.pstate;
-    results;
-  }
 
 (* Canonical JSON: fixed key order, no wall-clock or process-local
    values, floats through one formatter — same-seed runs render
@@ -1625,10 +1367,18 @@ let stream_latency_histogram ?(domain = 1000.) metrics name =
   let buckets = min 100_000 ((hi + 1) / 100) in
   Metrics.histogram ~hi ~buckets ~scale metrics name
 
-let run_stream ?(obs = Obs.disabled) scfg federation ~templates arrivals =
+(* The one drive loop behind {!run} and {!run_stream}: release each
+   trade at its arrival time (or shed it), start fibers under
+   [base.concurrency], serve waves, and settle contract completions,
+   deadlines and scrape ticks until every trade has ended.  [trades] are
+   in arrival order.  [exec_at_admission] picks when an admitted plan
+   goes to the execution scheduler: at admission (the batch report pairs
+   every admitted plan with its answer) or when its last contract
+   completes (so a trade canceled at its deadline never executes).
+   Returns the market, the trading makespan, the telemetry state and
+   the end-to-end latency histograms (all classes, per class). *)
+let drive_loop ~obs scfg federation trades ~exec_at_admission =
   let cfg = scfg.base in
-  if Array.length templates = 0 then
-    invalid_arg "Market.run_stream: empty template pool";
   let st = make_market ~obs cfg federation in
   let seller_ids = List.sort compare (Federation.node_ids federation) in
   (* The shedding policy's input: the occupancy of the most saturated
@@ -1729,18 +1479,6 @@ let run_stream ?(obs = Obs.disabled) scfg federation ~templates arrivals =
             :: t.tel_failures)
       tel
   in
-  let trades =
-    Array.of_list arrivals
-    |> Array.mapi (fun i (a : Arrivals.arrival) ->
-           let spec = scfg.spec_of a.Arrivals.klass in
-           let deadline =
-             if spec.Sla.deadline = infinity then infinity
-             else a.Arrivals.at +. spec.Sla.deadline
-           in
-           make_trade ~arrival:a.Arrivals.at ~deadline ~klass:a.Arrivals.klass
-             ~index:i ~priority:spec.Sla.priority
-             templates.(a.Arrivals.template mod Array.length templates))
-  in
   Array.iter
     (fun tr ->
       Obs.track_name obs tr.t_buyer (Printf.sprintf "trade %d" tr.t_index);
@@ -1813,11 +1551,8 @@ let run_stream ?(obs = Obs.disabled) scfg federation ~templates arrivals =
         if tr.t_pending = 0 then begin
           tr.t_completed_at <- t;
           observe_latency tr t;
-          (* Execution is submitted only once every contract completed:
-             a trade canceled at its deadline never reaches the
-             execution scheduler. *)
           match (st.sched, tr.t_plan) with
-          | Some sched, Some plan ->
+          | Some sched, Some plan when not exec_at_admission ->
             Execsched.submit sched ~trade:ti ~buyer:tr.t_buyer ~at:t plan
           | _ -> ()
         end
@@ -2055,31 +1790,24 @@ let run_stream ?(obs = Obs.disabled) scfg federation ~templates arrivals =
     tr.t_pending <- List.length works;
     if works = [] then begin
       tr.t_completed_at <- now;
-      observe_latency tr now;
-      match st.sched with
-      | Some sched ->
-        Execsched.submit sched ~trade:tr.t_index ~buyer:tr.t_buyer ~at:now plan
-      | None -> ()
-    end
+      observe_latency tr now
+    end;
+    match st.sched with
+    | Some sched when exec_at_admission || works = [] ->
+      Execsched.submit sched ~trade:tr.t_index ~buyer:tr.t_buyer ~at:now plan
+    | _ -> ()
   in
   let handle_ok tr (outcome : Trader.outcome) =
     let now = Float.max (Runtime.node_clock st.rt tr.t_buyer) st.mclock in
     drain ~upto:now;
     st.mclock <- Float.max st.mclock now;
+    (* The drain fires every deadline up to [now]: an expired trade is
+       too late to admit. *)
     if tr.t_status = Some Expired then ()
-      (* The drain fired this trade's deadline: too late to admit. *)
-    else if now > tr.t_deadline then begin
-      (* Belt and braces — the deadline event at [t_deadline < now]
-         should already have fired in the drain above. *)
-      tr.t_status <- Some Expired;
-      tr.t_finished_at <- tr.t_deadline;
-      stream_instant tr ~at:tr.t_deadline "expired";
-      tincr c_expired;
-      Option.iter (class_incr cc_expired) tr.t_klass
-    end
     else begin
-      let works = contracts_of outcome in
-      if st.pstate <> None then tr.t_prices <- prices_of outcome;
+      let works = per_seller (fun o -> o.Offer.true_cost) outcome in
+      if st.pstate <> None then
+        tr.t_prices <- per_seller (fun o -> o.Offer.quoted) outcome;
       match try_admit st tr ~now works with
       | Ok () ->
         qcache_note_traded st tr ~plan:outcome.Trader.plan
@@ -2128,10 +1856,12 @@ let run_stream ?(obs = Obs.disabled) scfg federation ~templates arrivals =
           fr_failure ~time:tr.t_finished_at
             ~reason:(Printf.sprintf "trade %d found no plan" tr.t_index)))
   in
-  (* Probe the cache tier before spending a fiber on an arrival: same
-     protocol as the batch runner, plus the stream bookkeeping (deadline
-     guards, end-to-end latency) a completion owes.  Returns [true] when
-     the arrival needs no fiber. *)
+  (* Probe the cache tier before spending a fiber on an arrival.  A
+     result hit completes the trade outright; a statement hit goes
+     straight to admission with the remembered contracts (falling back
+     to fresh trading if admission rejects them — no penalty, the cached
+     plan just stopped fitting the market).  Returns [true] when the
+     arrival needs no fiber. *)
   let try_cache tr =
     (* Materialize execution completions at or before the probe time
        first (the result-cache fill hook fires from the drain); the drain
@@ -2160,15 +1890,7 @@ let run_stream ?(obs = Obs.disabled) scfg federation ~templates arrivals =
       let now = Float.max (Runtime.node_clock st.rt tr.t_buyer) st.mclock in
       drain ~upto:now;
       st.mclock <- Float.max st.mclock now;
-      if tr.t_status <> None then true
-      else if now > tr.t_deadline then begin
-        tr.t_status <- Some Expired;
-        tr.t_finished_at <- tr.t_deadline;
-        stream_instant tr ~at:tr.t_deadline "expired";
-        tincr c_expired;
-        Option.iter (class_incr cc_expired) tr.t_klass;
-        true
-      end
+      if tr.t_status <> None then true  (* expired during the drain *)
       else begin
         (* A statement hit skips negotiation: the cached plan is bought
            at its contracts' cost. *)
@@ -2273,25 +1995,131 @@ let run_stream ?(obs = Obs.disabled) scfg federation ~templates arrivals =
         scrape_tick t ~now:trading_makespan)
     tel;
   emit_pool_span obs cfg.pool ~at:trading_makespan;
-  let exec =
-    match (st.sched, cfg.execute) with
-    | Some sched, Some e ->
-      let es = Execsched.stats sched in
-      Some
-        {
-          exec_makespan = es.Execsched.exec_makespan;
-          tasks_run = es.Execsched.tasks_run;
-          shared_results = es.Execsched.shared_results;
-          exec_trades = [];  (* per-trade tables are not kept at stream scale *)
-          exec_nodes = exec_node_stats e.workers es;
-        }
-    | _ -> None
+  (st, trading_makespan, tel, lat_all, lat_class)
+
+(* A batch is the degenerate stream: every query arrives at t=0 with no
+   deadline, nothing is shed and telemetry is off.  Plans go to the
+   execution scheduler at admission. *)
+let run ?(obs = Obs.disabled) cfg federation queries =
+  let trades =
+    Array.of_list
+      (List.mapi
+         (fun i q -> make_trade ~index:i ~priority:(cfg.priority_of i) q)
+         queries)
   in
-  let makespan =
-    match exec with
-    | Some e -> Float.max trading_makespan e.exec_makespan
-    | None -> trading_makespan
+  let scfg =
+    {
+      base = cfg;
+      spec_of = Sla.default_spec;
+      shedding = Shedding.Keep_all;
+      telemetry = None;
+      latency_domain = 1000.;
+    }
   in
+  let st, trading_makespan, _, _, _ =
+    drive_loop ~obs scfg federation trades ~exec_at_admission:true
+  in
+  let exec, makespan =
+    exec_report st ~trading_makespan (fun sched ->
+        List.filter_map
+          (fun tr ->
+            match (Execsched.result sched ~trade:tr.t_index, tr.t_plan) with
+            | Some table, Some _ ->
+              Some
+                {
+                  et_trade = tr.t_index;
+                  et_rows = List.length table.Table.rows;
+                  et_digest = table_digest table;
+                  et_finished_at =
+                    Option.value
+                      (Execsched.finished_at sched ~trade:tr.t_index)
+                      ~default:0.;
+                }
+            | _ -> None)
+          (Array.to_list trades))
+  in
+  (* Result-cache hits never reach the scheduler, but their answers still
+     belong in [results] so callers can oracle them against fresh
+     execution. *)
+  let results =
+    match st.sched with
+    | None -> []
+    | Some sched ->
+      List.filter_map
+        (fun tr ->
+          let table =
+            match Execsched.result sched ~trade:tr.t_index with
+            | Some _ as table -> table
+            | None -> tr.t_cache_table
+          in
+          match (table, tr.t_plan) with
+          | Some table, Some plan -> Some (tr.t_index, plan, table)
+          | _ -> None)
+        (Array.to_list trades)
+  in
+  let sellers = seller_stats_of st ~horizon:trading_makespan in
+  let trade_list =
+    Array.to_list
+      (Array.map
+         (fun tr ->
+           {
+             trade = tr.t_index;
+             status = Option.value tr.t_status ~default:No_plan;
+             attempts = tr.t_attempts;
+             rounds = tr.t_rounds;
+             plan_cost = tr.t_plan_cost;
+             messages = tr.t_messages;
+             bytes = tr.t_bytes;
+             sim_time = tr.t_finished_at;
+             contracts = tr.t_contracts;
+             phases = tr.t_phases;
+           })
+         trades)
+  in
+  let completed =
+    List.length (List.filter (fun t -> t.status = Completed) trade_list)
+  in
+  let wire = Runtime.stats st.rt in
+  {
+    trades = trade_list;
+    sellers;
+    batcher = Batcher.stats st.batcher;
+    cache = Seller.pool_stats st.caches;
+    completed;
+    failed = List.length trade_list - completed;
+    admission_retries = st.retries;
+    trading_makespan;
+    makespan;
+    wire_messages = wire.Runtime.messages;
+    wire_bytes = wire.Runtime.bytes;
+    offer_rtt = summarize st.rtt;
+    queue_wait = summarize st.waits;
+    exec;
+    qcache = Option.map (fun q -> Tier.stats q.q_tier) st.qcache;
+    pricing = Option.map Pricing.stats st.pstate;
+    results;
+  }
+
+let run_stream ?(obs = Obs.disabled) scfg federation ~templates arrivals =
+  if Array.length templates = 0 then
+    invalid_arg "Market.run_stream: empty template pool";
+  let trades =
+    Array.of_list arrivals
+    |> Array.mapi (fun i (a : Arrivals.arrival) ->
+           let spec = scfg.spec_of a.Arrivals.klass in
+           let deadline =
+             if spec.Sla.deadline = infinity then infinity
+             else a.Arrivals.at +. spec.Sla.deadline
+           in
+           make_trade ~arrival:a.Arrivals.at ~deadline ~klass:a.Arrivals.klass
+             ~index:i ~priority:spec.Sla.priority
+             templates.(a.Arrivals.template mod Array.length templates))
+  in
+  let st, trading_makespan, tel, lat_all, lat_class =
+    drive_loop ~obs scfg federation trades ~exec_at_admission:false
+  in
+  (* Per-trade tables are not kept at stream scale. *)
+  let exec, makespan = exec_report st ~trading_makespan (fun _ -> []) in
   let count pred =
     Array.fold_left (fun acc tr -> if pred tr then acc + 1 else acc) 0 trades
   in

@@ -230,8 +230,16 @@ val run :
     node [-(i+1)] — and run the market until all trades have ended and
     all admitted contracts completed.
 
-    [obs] (default: the no-op sink) records the whole run: per-trade
-    phase spans on each buyer's track (via {!Qt_core.Trader.optimize}),
+    A batch is the degenerate {!run_stream}: the same drive loop, with
+    every query arriving at time 0 with no deadline and priority
+    [priority_of i], no shedding and no telemetry.  One behaviour
+    differs: an admitted plan goes to the execution scheduler at
+    admission, not when its last contract completes, and its answer is
+    reported per trade in [exec.exec_trades] and [results].
+
+    [obs] (default: the no-op sink) records the whole run: an [arrive]
+    instant and per-trade phase spans on each buyer's track (via
+    {!Qt_core.Trader.optimize}),
     RFB-wave spans on the market's own track with per-seller envelope
     message spans nested under them, admission decisions
     (admit/enqueue/reject/cancel) as instants on the deciding seller's
@@ -250,8 +258,8 @@ val metrics_json : stats -> string
 
 (** {1 Open-stream marketplace}
 
-    {!run} trades a fixed batch; {!run_stream} drives the same wave
-    scheduler as an open system: queries arrive continuously (see
+    {!run} trades a fixed batch; {!run_stream} drives the same loop as an
+    open system: queries arrive continuously (see
     {!Qt_stream.Arrivals}), each carries an SLA class resolving to a
     completion deadline and an admission priority
     ({!Qt_stream.Sla}), and the marketplace enforces the deadlines —

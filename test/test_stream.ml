@@ -280,6 +280,56 @@ let test_stream_empty_pool_rejected () =
     (Invalid_argument "Market.run_stream: empty template pool") (fun () ->
       ignore (Market.run_stream (scfg ()) federation ~templates:[||] []))
 
+(* Per-seller contract conservation after an overloaded [Market.run] or
+   [run_stream]: every accepted contract completed or was canceled, and
+   [accepted - admitted] is exactly the contracts canceled while still
+   queued — a naming gap, not a leak.  The run must exercise the law:
+   some contracts canceled, some of them while queued. *)
+let check_conservation label (sellers : Market.seller_stats list) =
+  let canceled, gap =
+    List.fold_left
+      (fun (canceled, gap) (x : Market.seller_stats) ->
+        let a = x.Market.admission in
+        let what s = Printf.sprintf "%s seller %d: %s" label x.Market.seller s in
+        Alcotest.(check bool) (what "completed <= admitted") true
+          (a.Admission.completed <= a.Admission.admitted);
+        Alcotest.(check bool) (what "admitted <= accepted") true
+          (a.Admission.admitted <= a.Admission.accepted);
+        Alcotest.(check int) (what "accepted = completed + canceled")
+          a.Admission.accepted
+          (a.Admission.completed + a.Admission.canceled);
+        ( canceled + a.Admission.canceled,
+          gap + a.Admission.accepted - a.Admission.admitted ))
+      (0, 0) sellers
+  in
+  Alcotest.(check bool) (label ^ ": contracts were canceled") true (canceled > 0);
+  Alcotest.(check bool) (label ^ ": some while still queued") true (gap > 0)
+
+let test_conservation_overload () =
+  (* Whole-table queries buy from several 1-slot, 1-queue sellers, so a
+     rejection rolls back contracts already placed elsewhere. *)
+  let batch =
+    let d = Market.default_config params in
+    let cfg =
+      {
+        d with
+        Market.admission =
+          { d.Market.admission with Admission.slots = 1; queue_limit = 1 };
+      }
+    in
+    Market.run cfg
+      (telecom_federation ~nodes:8 ~partitions:4 ~replicas:2 ())
+      (List.init 12 (fun i ->
+           if i mod 3 = 0 then revenue_query ()
+           else revenue_query ~range:(i mod 2 * 200, (i mod 2 * 200) + 199) ()))
+  in
+  check_conservation "run" batch.Market.sellers;
+  (* Deadlines short enough to cancel contracts still waiting in the
+     1-slot sellers' queues. *)
+  let spec_of k = { (Sla.default_spec k) with Sla.deadline = 0.2 } in
+  let stream = run_small ~spec_of ~slots:1 ~queue:2 ~count:40 ~rate:20. () in
+  check_conservation "run_stream" stream.Market.str_sellers
+
 (* ------------------------------------------------------------------ *)
 (* Stale completion events after cancellation (admission level)         *)
 (* ------------------------------------------------------------------ *)
@@ -348,6 +398,8 @@ let suite =
       quick "run_stream: occupancy shedding sheds under overload"
         test_stream_shedding_sheds;
       quick "run_stream: empty template pool rejected" test_stream_empty_pool_rejected;
+      quick "run and run_stream: per-seller contract conservation under overload"
+        test_conservation_overload;
       quick "admission: stale completion after cancel is dropped"
         test_admission_stale_completion;
     ] )
