@@ -922,11 +922,12 @@ let run_market schema nodes partitions replicas profile count json trace metrics
   Option.iter (fun path -> write_file path (Market.metrics_json s)) metrics;
   if json then print_endline (Market.to_json s)
   else begin
+    let r = s.Market.report in
     Printf.printf "trades: %d completed, %d failed, %d admission retries\n"
-      s.Market.completed s.Market.failed s.Market.admission_retries;
+      r.Market.str_completed r.Market.str_failed r.Market.str_admission_retries;
     Printf.printf "makespan: %.4fs (trading %.4fs)   wire: %d messages, %.1f KiB\n"
-      s.Market.makespan s.Market.trading_makespan s.Market.wire_messages
-      (float_of_int s.Market.wire_bytes /. 1024.);
+      r.Market.str_makespan s.Market.trading_makespan r.Market.str_wire_messages
+      (float_of_int r.Market.str_wire_bytes /. 1024.);
     Option.iter
       (fun (e : Market.exec_stats) ->
         Printf.printf
@@ -943,8 +944,8 @@ let run_market schema nodes partitions replicas profile count json trace metrics
                else string_of_int n.Market.en_node)
               n.Market.en_tasks n.Market.en_busy n.Market.en_utilization)
           e.Market.exec_nodes)
-      s.Market.exec;
-    let b = s.Market.batcher in
+      r.Market.str_exec;
+    let b = r.Market.str_batcher in
     Printf.printf
       "rfb batching (%s): %d waves, %d envelopes vs %d unbatched (%d messages \
        and %d bytes saved, %d duplicate signatures merged)\n"
@@ -954,11 +955,11 @@ let run_market schema nodes partitions replicas profile count json trace metrics
       b.Qt_market.Batcher.messages_saved b.Qt_market.Batcher.bytes_saved
       b.Qt_market.Batcher.dup_signatures_merged;
     Printf.printf "bid cache: %d hits, %d misses, %d invalidations, %d evictions\n"
-      s.Market.cache.Qt_core.Seller.hits s.Market.cache.Qt_core.Seller.misses
-      s.Market.cache.Qt_core.Seller.invalidations
-      s.Market.cache.Qt_core.Seller.evictions;
-    Option.iter print_qcache_stats s.Market.qcache;
-    Option.iter print_pricing_stats s.Market.pricing;
+      r.Market.str_cache.Qt_core.Seller.hits r.Market.str_cache.Qt_core.Seller.misses
+      r.Market.str_cache.Qt_core.Seller.invalidations
+      r.Market.str_cache.Qt_core.Seller.evictions;
+    Option.iter print_qcache_stats r.Market.str_qcache;
+    Option.iter print_pricing_stats r.Market.str_pricing;
     List.iter
       (fun (x : Market.seller_stats) ->
         let a = x.Market.admission in
@@ -968,7 +969,7 @@ let run_market schema nodes partitions replicas profile count json trace metrics
              utilization %.3f\n"
             x.Market.seller a.Admission.admitted a.Admission.rejected
             a.Admission.peak_queue a.Admission.busy x.Market.utilization)
-      s.Market.sellers;
+      r.Market.str_sellers;
     List.iter
       (fun (t : Market.trade_stats) ->
         Printf.printf "  trade %d: %s in %d attempt%s, plan %.4fs, contracts [%s]\n"
@@ -1131,7 +1132,6 @@ let run_stream schema nodes partitions replicas profile rate process burst_on
     if scrape_interval > 0. || slo_rules <> [] || series <> None then
       Some
         {
-          Market.default_telemetry with
           Market.scrape_interval =
             (if scrape_interval > 0. then scrape_interval else 1.0);
           slo_rules;

@@ -580,8 +580,6 @@ let cache_create ?(max_entries = default_cache_entries) () =
     c_evictions = Metrics.counter m "cache.evictions";
   }
 
-let cache_metrics (c : cache) = c.c_metrics
-
 let cache_stats (c : cache) =
   {
     hits = Metrics.value c.c_hits;

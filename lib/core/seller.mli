@@ -95,10 +95,7 @@ val cache_create : ?max_entries:int -> unit -> cache
 (** [max_entries] defaults to a generous 4096 per node. *)
 
 val cache_stats : cache -> cache_stats
-(** A view over the cache's metrics registry (see {!cache_metrics}). *)
-
-val cache_metrics : cache -> Qt_obs.Metrics.t
-(** The registry holding the cache's counters ([cache.hits],
+(** A view over the cache's metrics registry ([cache.hits],
     [cache.misses], [cache.invalidations], [cache.evictions]). *)
 
 type cache_pool

@@ -1,10 +1,5 @@
 type policy = Fifo | Priority | Proportional_share
 
-let policy_to_string = function
-  | Fifo -> "fifo"
-  | Priority -> "priority"
-  | Proportional_share -> "proportional"
-
 let policy_of_string = function
   | "fifo" -> Some Fifo
   | "priority" -> Some Priority
@@ -91,6 +86,11 @@ let metrics t = t.m
 let slots t = t.cfg.slots
 let in_service t = List.length t.active
 let queue_depth t = List.length t.queued
+
+(* Inlined so the per-arrival shedding check allocates no boxed float. *)
+let[@inline] occupancy t =
+  float_of_int (in_service t + queue_depth t)
+  /. float_of_int (t.cfg.slots + t.cfg.queue_limit)
 
 let offered_load t =
   t.cfg.load_per_contract *. float_of_int (in_service t + queue_depth t)

@@ -20,12 +20,14 @@ type policy =
       (** The buyer with the least admitted work per unit of priority
           weight goes first — long-run fairness across trades. *)
 
-val policy_to_string : policy -> string
 val policy_of_string : string -> policy option
 
 type config = {
-  slots : int;  (** Concurrent contract slots (>= 1). *)
-  queue_limit : int;  (** Waiting contracts before rejection (>= 0). *)
+  slots : int;
+      (** Concurrent contract slots; {!create} clamps it to [>= 1]. *)
+  queue_limit : int;
+      (** Waiting contracts before rejection; {!create} clamps it to
+          [>= 0]. *)
   load_per_contract : float;
       (** Pricing load added per admitted or queued contract. *)
   policy : policy;
@@ -52,6 +54,12 @@ val in_service : t -> int
 (** Contracts currently occupying slots. *)
 
 val queue_depth : t -> int
+
+val occupancy : t -> float
+(** [(in_service + queue_depth) / (slots + queue_limit)] over the
+    clamped config ([slots >= 1], [queue_limit >= 0]), so the
+    denominator is at least 1.  The one occupancy figure read by
+    shedding, surge pricing and the telemetry gauges. *)
 
 val offered_load : t -> float
 (** [load_per_contract * (in_service + queue_depth)] — what this node

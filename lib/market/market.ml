@@ -27,11 +27,22 @@ module Statement_cache = Qt_cache.Statement_cache
 module Result_cache = Qt_cache.Result_cache
 module Analysis = Qt_sql.Analysis
 module Pricing = Qt_pricing.Pricing
+module Sla = Qt_stream.Sla
+module Arrivals = Qt_stream.Arrivals
+module Shedding = Qt_stream.Shedding
 
 (* The market scheduler's own trace track: buyers occupy -(i+1), sellers
    the non-negative node ids, so a far-negative reserved id never
    collides with either. *)
 let market_track = -1000
+
+(* Extra load a retrying trade sees on each seller that rejected it: the
+   steering force toward other replicas. *)
+let rejection_penalty = 2.0
+
+(* Per-node flight-recorder ring size (recent span entries kept for
+   telemetry debug bundles). *)
+let flight_capacity = 32
 
 type exec_config = {
   workers : int;
@@ -49,9 +60,6 @@ type config = {
   batching : bool;
   concurrency : int;
   max_admission_retries : int;
-  rejection_penalty : float;
-  priority_of : int -> int;
-  cache_entries : int;
   seed : int;
   execute : exec_config option;
   qcache : Tier.t option;
@@ -80,9 +88,6 @@ let default_config params =
     batching = true;
     concurrency = 0;
     max_admission_retries = 2;
-    rejection_penalty = 2.0;
-    priority_of = (fun _ -> 0);
-    cache_entries = 4096;
     seed = 7;
     execute = None;
     qcache = None;
@@ -148,23 +153,63 @@ type exec_stats = {
   exec_nodes : exec_node list;
 }
 
+type telemetry_stats = {
+  tl_interval : float;
+  tl_ticks : int;
+  tl_points : Timeseries.point list;  (* every series point, in order *)
+  tl_rules : Slo.rule list;
+  tl_alerts : (Slo.alert * Flight_recorder.bundle) list;  (* firing order *)
+  tl_failures : Flight_recorder.bundle list;
+      (* debug bundles for the first few trade failures/expiries *)
+}
+
+type class_stats = {
+  cs_klass : Sla.klass;
+  cs_arrivals : int;
+  cs_completed : int;
+  cs_hits : int;
+  cs_shed : int;
+  cs_expired : int;
+  cs_failed : int;
+  cs_goodput : float;
+  cs_cache_hits : int;
+      (* Arrivals of this class served from the cache tier (statement or
+         result hits); 0 when the tier is off. *)
+  cs_cache_hit_rate : float;  (* cache hits / arrivals *)
+  cs_latency : latency_summary;
+}
+
+(* The run report of both drivers. *)
+type stream_stats = {
+  str_arrivals : int;
+  str_completed : int;
+  str_hits : int;
+  str_shed : int;
+  str_expired : int;
+  str_failed : int;
+  str_goodput : float;
+  str_latency : latency_summary;
+  str_classes : class_stats list;
+  str_sellers : seller_stats list;
+  str_batcher : Batcher.stats;
+  str_cache : Seller.cache_stats;
+  str_admission_retries : int;
+  str_makespan : float;
+  str_wire_messages : int;
+  str_wire_bytes : int;
+  str_offer_rtt : latency_summary;
+  str_queue_wait : latency_summary;
+  str_exec : exec_stats option;
+  str_qcache : Tier.stats option;
+  str_pricing : Pricing.stats option;
+  str_telemetry : telemetry_stats option;
+}
+
+(* What a batch adds to the report. *)
 type stats = {
+  report : stream_stats;
   trades : trade_stats list;
-  sellers : seller_stats list;
-  batcher : Batcher.stats;
-  cache : Seller.cache_stats;
-  completed : int;
-  failed : int;
-  admission_retries : int;
   trading_makespan : float;
-  makespan : float;
-  wire_messages : int;
-  wire_bytes : int;
-  offer_rtt : latency_summary;
-  queue_wait : latency_summary;
-  exec : exec_stats option;
-  qcache : Tier.stats option;
-  pricing : Pricing.stats option;
   results : (int * Plan.t * Table.t) list;
 }
 
@@ -635,26 +680,19 @@ let wave_close st trades waiting =
   st.mclock <- t_close;
   t_close
 
-(* Refresh every seller's surge state from its admission occupancy:
-   (in service + queued) / (slots + queue limit).  Runs on the
-   coordinator at each wave close, before any envelope is priced, so
-   the multiplier a wave sees is frozen — phase A's parallel pricing
-   only reads it and results stay byte-identical at any domain count. *)
+(* Refresh every seller's surge state from its admission occupancy.
+   Runs on the coordinator at each wave close, before any envelope is
+   priced, so the multiplier a wave sees is frozen — phase A's parallel
+   pricing only reads it and results stay byte-identical at any domain
+   count. *)
 let update_surge st =
   match st.pstate with
   | None -> ()
   | Some p ->
     List.iter
       (fun id ->
-        let adm = admission_of st id in
-        let cap =
-          Admission.slots adm + max 0 st.cfg.admission.Admission.queue_limit
-        in
-        let occ =
-          float_of_int (Admission.in_service adm + Admission.queue_depth adm)
-          /. float_of_int (max 1 cap)
-        in
-        Pricing.observe_occupancy p ~seller:id ~occupancy:occ)
+        Pricing.observe_occupancy p ~seller:id
+          ~occupancy:(Admission.occupancy (admission_of st id)))
       (List.sort compare (Federation.node_ids st.federation))
 
 (* Serve one closed wave: coalesce the suspended broadcasts into
@@ -841,11 +879,7 @@ let make_market ~obs cfg federation =
       Naive.materialize_views store federation;
       Some
         (Execsched.create ~obs
-           {
-             Execsched.workers = e.workers;
-             share_results = e.share_results;
-             load_scale = Execsched.default_config.Execsched.load_scale;
-           }
+           { Execsched.workers = e.workers; share_results = e.share_results }
            cfg.trader.Trader.params store federation)
   in
   let qcache =
@@ -871,7 +905,7 @@ let make_market ~obs cfg federation =
       cfg;
       federation;
       rt = Runtime.create ~obs ~params:cfg.trader.Trader.params ~seed:cfg.seed ();
-      caches = Seller.pool_create ~max_entries:cfg.cache_entries ();
+      caches = Seller.pool_create ();
       batcher = Batcher.create ~batching:cfg.batching;
       admissions = Hashtbl.create 16;
       completions = Event_queue.create ();
@@ -918,24 +952,6 @@ let exec_node_stats workers (es : Execsched.stats) =
       })
     es.Execsched.exec_nodes
 
-(* The execution report and the overall makespan (trading extended to
-   the last execution task).  [exec_trades] lists the per-trade answers
-   the report keeps. *)
-let exec_report st ~trading_makespan exec_trades =
-  match (st.sched, st.cfg.execute) with
-  | Some sched, Some e ->
-    let es = Execsched.stats sched in
-    ( Some
-        {
-          exec_makespan = es.Execsched.exec_makespan;
-          tasks_run = es.Execsched.tasks_run;
-          shared_results = es.Execsched.shared_results;
-          exec_trades = exec_trades sched;
-          exec_nodes = exec_node_stats e.workers es;
-        },
-      Float.max trading_makespan es.Execsched.exec_makespan )
-  | _ -> (None, trading_makespan)
-
 let seller_stats_of st ~horizon =
   List.sort compare (Federation.node_ids st.federation)
   |> List.map (fun id ->
@@ -970,286 +986,9 @@ let emit_pool_span obs pool ~at =
         : int)
   | _ -> ()
 
-(* Canonical JSON: fixed key order, no wall-clock or process-local
-   values, floats through one formatter — same-seed runs render
-   byte-identically. *)
-
-let status_to_string = function
-  | Completed -> "completed"
-  | No_plan -> "no_plan"
-  | Admission_failed -> "admission_failed"
-  | Shed -> "shed"
-  | Expired -> "expired"
-
-let jf x = Printf.sprintf "%.6g" x
-
-(* One phase rendered without its wall-clock field — wall time is
-   process-local and would break byte-stable same-seed output. *)
-let phase_json (p : Trader.phase) =
-  Printf.sprintf
-    "{\"messages\":%d,\"bytes\":%d,\"cache_hits\":%d,\"cache_misses\":%d,\"sim\":%s}"
-    p.Trader.messages p.Trader.bytes p.Trader.cache_hits p.Trader.cache_misses
-    (jf p.Trader.sim)
-
-let phases_json (ph : Trader.phase_stats) =
-  Printf.sprintf
-    "{\"rfb\":%s,\"pricing\":%s,\"negotiation\":%s,\"plan_gen\":%s,\"requests_deduped\":%d,\"rebroadcasts_skipped\":%d}"
-    (phase_json ph.Trader.rfb) (phase_json ph.Trader.pricing)
-    (phase_json ph.Trader.negotiation) (phase_json ph.Trader.plan_gen)
-    ph.Trader.requests_deduped ph.Trader.rebroadcasts_skipped
-
-let latency_json (l : latency_summary) =
-  (* No observations means no percentiles: render null, not a fake 0. *)
-  let stat v = if l.l_count = 0 then "null" else jf v in
-  Printf.sprintf "{\"count\":%d,\"p50\":%s,\"p95\":%s,\"p99\":%s}" l.l_count
-    (stat l.l_p50) (stat l.l_p95) (stat l.l_p99)
-
-let seller_json (x : seller_stats) =
-  let a = x.admission in
-  Printf.sprintf
-    "{\"seller\":%d,\"admitted\":%d,\"accepted\":%d,\"rejected\":%d,\"completed\":%d,\"canceled\":%d,\"peak_queue\":%d,\"peak_active\":%d,\"busy\":%s,\"utilization\":%s}"
-    x.seller a.Admission.admitted a.Admission.accepted a.Admission.rejected
-    a.Admission.completed a.Admission.canceled a.Admission.peak_queue
-    a.Admission.peak_active (jf a.Admission.busy) (jf x.utilization)
-
-let batcher_json (bt : Batcher.stats) =
-  Printf.sprintf
-    "{\"batching\":%b,\"waves\":%d,\"sent_messages\":%d,\"sent_bytes\":%d,\"unbatched_messages\":%d,\"unbatched_bytes\":%d,\"messages_saved\":%d,\"bytes_saved\":%d,\"dup_signatures_merged\":%d}"
-    bt.Batcher.batching bt.Batcher.waves bt.Batcher.sent_messages
-    bt.Batcher.sent_bytes bt.Batcher.unbatched_messages
-    bt.Batcher.unbatched_bytes bt.Batcher.messages_saved bt.Batcher.bytes_saved
-    bt.Batcher.dup_signatures_merged
-
-let cache_json (c : Seller.cache_stats) =
-  Printf.sprintf
-    "{\"hits\":%d,\"misses\":%d,\"invalidations\":%d,\"evictions\":%d}"
-    c.Seller.hits c.Seller.misses c.Seller.invalidations c.Seller.evictions
-
-let counts_json hits misses invalidations evictions =
-  Printf.sprintf
-    "{\"hits\":%d,\"misses\":%d,\"invalidations\":%d,\"evictions\":%d}" hits
-    misses invalidations evictions
-
-(* Rendered only when the tier is configured, so cache-off output stays
-   byte-identical to a build without the cache tier. *)
-let qcache_json (q : Tier.stats) =
-  let s = q.Tier.stmt and r = q.Tier.result in
-  Printf.sprintf
-    "{\"placement\":%S,\"stmt\":%s,\"result\":%s,\"trades_avoided\":%d,\"executions_avoided\":%d,\"hit_revenue\":%s,\"revenue_by_seller\":[%s],\"result_bytes\":%d}"
-    q.Tier.placement
-    (Printf.sprintf
-       "{\"hits\":%d,\"misses\":%d,\"invalidations\":%d,\"evictions\":%d,\"suppressed\":%d}"
-       s.Statement_cache.hits s.Statement_cache.misses
-       s.Statement_cache.invalidations s.Statement_cache.evictions
-       s.Statement_cache.suppressed)
-    (counts_json r.Result_cache.hits r.Result_cache.misses
-       r.Result_cache.invalidations r.Result_cache.evictions)
-    q.Tier.trades_avoided q.Tier.executions_avoided (jf q.Tier.hit_revenue)
-    (String.concat ","
-       (List.map
-          (fun (seller, rev) ->
-            Printf.sprintf "{\"seller\":%d,\"revenue\":%s}" seller (jf rev))
-          q.Tier.hit_revenue_by_seller))
-    q.Tier.result_bytes_held
-
-(* Rendered only when the pricing layer is configured, so pricing-off
-   output stays byte-identical to a build without lib/pricing. *)
-let pricing_json (p : Pricing.stats) =
-  Printf.sprintf
-    "{\"revenue\":%s,\"reservation_revenue\":%s,\"surge_activations\":%d,\"forced_flips\":%d,\"reserved_sold\":%d,\"reserved_completed\":%d,\"reserved_refunded\":%d,\"reservation_fill\":%s,\"sellers\":[%s]}"
-    (jf p.Pricing.p_revenue)
-    (jf p.Pricing.p_reservation_revenue)
-    p.Pricing.p_surge_activations p.Pricing.p_forced_flips
-    p.Pricing.p_reserved_sold p.Pricing.p_reserved_completed
-    p.Pricing.p_reserved_refunded
-    (jf p.Pricing.p_reservation_fill)
-    (String.concat ","
-       (List.map
-          (fun (x : Pricing.seller_stats) ->
-            Printf.sprintf
-              "{\"seller\":%d,\"strategy\":\"%s\",\"surging\":%b,\"surge_activations\":%d,\"revenue\":%s,\"reserved_sold\":%d,\"reserved_completed\":%d,\"reserved_refunded\":%d,\"reservation_revenue\":%s}"
-              x.Pricing.ps_seller
-              (Pricing.strategy_to_string x.Pricing.ps_strategy)
-              x.Pricing.ps_surging x.Pricing.ps_surge_activations
-              (jf x.Pricing.ps_revenue) x.Pricing.ps_reserved_sold
-              x.Pricing.ps_reserved_completed x.Pricing.ps_reserved_refunded
-              (jf x.Pricing.ps_reservation_revenue))
-          p.Pricing.p_sellers))
-
-let exec_node_json (n : exec_node) =
-  Printf.sprintf "{\"node\":%d,\"tasks\":%d,\"busy\":%s,\"utilization\":%s}"
-    n.en_node n.en_tasks (jf n.en_busy) (jf n.en_utilization)
-
-let to_json (s : stats) =
-  let b = Buffer.create 2048 in
-  let add = Buffer.add_string b in
-  let list f xs = add "["; List.iteri (fun i x -> if i > 0 then add ","; f x) xs; add "]" in
-  add "{\"trades\":";
-  list
-    (fun (t : trade_stats) ->
-      add
-        (Printf.sprintf
-           "{\"trade\":%d,\"status\":\"%s\",\"attempts\":%d,\"rounds\":%d,\"plan_cost\":%s,\"messages\":%d,\"bytes\":%d,\"sim_time\":%s,\"phases\":%s,\"contracts\":"
-           t.trade (status_to_string t.status) t.attempts t.rounds
-           (jf t.plan_cost) t.messages t.bytes (jf t.sim_time)
-           (phases_json t.phases));
-      list
-        (fun (seller, work) ->
-          add (Printf.sprintf "{\"seller\":%d,\"work\":%s}" seller (jf work)))
-        t.contracts;
-      add "}")
-    s.trades;
-  add ",\"sellers\":";
-  list (fun (x : seller_stats) -> add (seller_json x)) s.sellers;
-  add (",\"batcher\":" ^ batcher_json s.batcher);
-  add (",\"cache\":" ^ cache_json s.cache);
-  add
-    (Printf.sprintf
-       ",\"completed\":%d,\"failed\":%d,\"admission_retries\":%d,\"trading_makespan\":%s,\"makespan\":%s,\"wire_messages\":%d,\"wire_bytes\":%d,\"offer_rtt\":%s,\"queue_wait\":%s"
-       s.completed s.failed s.admission_retries (jf s.trading_makespan)
-       (jf s.makespan) s.wire_messages s.wire_bytes (latency_json s.offer_rtt)
-       (latency_json s.queue_wait));
-  (match s.exec with
-  | None -> add ",\"exec\":null"
-  | Some e ->
-    add
-      (Printf.sprintf
-         ",\"exec\":{\"makespan\":%s,\"tasks\":%d,\"shared_results\":%d,\"trades\":"
-         (jf e.exec_makespan) e.tasks_run e.shared_results);
-    list
-      (fun (t : exec_trade) ->
-        add
-          (Printf.sprintf
-             "{\"trade\":%d,\"rows\":%d,\"digest\":%d,\"finished_at\":%s}"
-             t.et_trade t.et_rows t.et_digest (jf t.et_finished_at)))
-      e.exec_trades;
-    add ",\"nodes\":";
-    list (fun (n : exec_node) -> add (exec_node_json n)) e.exec_nodes;
-    add "}");
-  (match s.qcache with
-  | None -> ()
-  | Some q -> add (",\"qcache\":" ^ qcache_json q));
-  (match s.pricing with
-  | None -> ()
-  | Some p -> add (",\"pricing\":" ^ pricing_json p));
-  add "}";
-  Buffer.contents b
-
-(* Shared pieces of the flat metrics renderings: counters and gauges the
-   batch and stream reports have in common. *)
-let metrics_c m name v = Metrics.incr ~by:v (Metrics.counter m name)
-let metrics_g m name v = Metrics.set (Metrics.gauge m name) v
-
-let metrics_lat m name (l : latency_summary) =
-  metrics_c m (name ^ ".count") l.l_count;
-  metrics_g m (name ^ ".p50") l.l_p50;
-  metrics_g m (name ^ ".p95") l.l_p95;
-  metrics_g m (name ^ ".p99") l.l_p99
-
-let metrics_exec m = function
-  | None -> ()
-  | Some e ->
-    metrics_c m "exec.tasks" e.tasks_run;
-    metrics_c m "exec.shared_results" e.shared_results;
-    metrics_g m "exec.makespan" e.exec_makespan;
-    List.iter
-      (fun (n : exec_node) ->
-        let p = Printf.sprintf "exec.node.%d." n.en_node in
-        metrics_c m (p ^ "tasks") n.en_tasks;
-        metrics_g m (p ^ "busy") n.en_busy;
-        metrics_g m (p ^ "utilization") n.en_utilization)
-      e.exec_nodes
-
-(* qcache.* metrics appear only when the tier was configured, keeping
-   cache-off metrics output identical to a cache-less build. *)
-let metrics_qcache m = function
-  | None -> ()
-  | Some (q : Tier.stats) ->
-    metrics_c m "qcache.stmt.hits" q.Tier.stmt.Statement_cache.hits;
-    metrics_c m "qcache.stmt.misses" q.Tier.stmt.Statement_cache.misses;
-    metrics_c m "qcache.stmt.invalidations"
-      q.Tier.stmt.Statement_cache.invalidations;
-    metrics_c m "qcache.stmt.evictions" q.Tier.stmt.Statement_cache.evictions;
-    metrics_c m "qcache.stmt.suppressed" q.Tier.stmt.Statement_cache.suppressed;
-    metrics_c m "qcache.result.hits" q.Tier.result.Result_cache.hits;
-    metrics_c m "qcache.result.misses" q.Tier.result.Result_cache.misses;
-    metrics_c m "qcache.result.invalidations"
-      q.Tier.result.Result_cache.invalidations;
-    metrics_c m "qcache.result.evictions" q.Tier.result.Result_cache.evictions;
-    metrics_c m "qcache.trades_avoided" q.Tier.trades_avoided;
-    metrics_c m "qcache.executions_avoided" q.Tier.executions_avoided;
-    metrics_c m "qcache.result_bytes" q.Tier.result_bytes_held;
-    metrics_g m "qcache.hit_revenue" q.Tier.hit_revenue
-
-(* pricing.* metrics appear only when the layer was configured, keeping
-   pricing-off metrics output identical to a pricing-less build. *)
-let metrics_pricing m = function
-  | None -> ()
-  | Some (p : Pricing.stats) ->
-    metrics_g m "pricing.revenue" p.Pricing.p_revenue;
-    metrics_g m "pricing.reservation_revenue" p.Pricing.p_reservation_revenue;
-    metrics_c m "pricing.surge_activations" p.Pricing.p_surge_activations;
-    metrics_c m "pricing.forced_flips" p.Pricing.p_forced_flips;
-    metrics_c m "pricing.reserved_sold" p.Pricing.p_reserved_sold;
-    metrics_c m "pricing.reserved_completed" p.Pricing.p_reserved_completed;
-    metrics_c m "pricing.reserved_refunded" p.Pricing.p_reserved_refunded;
-    metrics_g m "pricing.reservation_fill" p.Pricing.p_reservation_fill;
-    List.iter
-      (fun (x : Pricing.seller_stats) ->
-        let pre = Printf.sprintf "pricing.seller.%d." x.Pricing.ps_seller in
-        metrics_g m (pre ^ "revenue") x.Pricing.ps_revenue;
-        metrics_c m (pre ^ "surge_activations") x.Pricing.ps_surge_activations)
-      p.Pricing.p_sellers
-
-let metrics_shared m ~sellers ~(batcher : Batcher.stats) ~(cache : Seller.cache_stats) =
-  metrics_c m "batcher.waves" batcher.Batcher.waves;
-  metrics_c m "batcher.sent_messages" batcher.Batcher.sent_messages;
-  metrics_c m "batcher.sent_bytes" batcher.Batcher.sent_bytes;
-  metrics_c m "batcher.messages_saved" batcher.Batcher.messages_saved;
-  metrics_c m "batcher.bytes_saved" batcher.Batcher.bytes_saved;
-  metrics_c m "batcher.dup_signatures_merged" batcher.Batcher.dup_signatures_merged;
-  metrics_c m "cache.hits" cache.Seller.hits;
-  metrics_c m "cache.misses" cache.Seller.misses;
-  metrics_c m "cache.invalidations" cache.Seller.invalidations;
-  metrics_c m "cache.evictions" cache.Seller.evictions;
-  List.iter
-    (fun (x : seller_stats) ->
-      let p = Printf.sprintf "seller.%d." x.seller in
-      metrics_c m (p ^ "admitted") x.admission.Admission.admitted;
-      metrics_c m (p ^ "rejected") x.admission.Admission.rejected;
-      metrics_c m (p ^ "completed") x.admission.Admission.completed;
-      metrics_g m (p ^ "busy") x.admission.Admission.busy;
-      metrics_g m (p ^ "utilization") x.utilization)
-    sellers
-
-(* Flat metrics rendering of a finished run — what [--metrics FILE]
-   writes.  Derived entirely from [stats], so it shares its determinism. *)
-let metrics_json (s : stats) =
-  let m = Metrics.create () in
-  let c = metrics_c m and g = metrics_g m in
-  c "market.trades" (List.length s.trades);
-  c "market.completed" s.completed;
-  c "market.failed" s.failed;
-  c "market.admission_retries" s.admission_retries;
-  c "market.wire_messages" s.wire_messages;
-  c "market.wire_bytes" s.wire_bytes;
-  g "market.trading_makespan" s.trading_makespan;
-  g "market.makespan" s.makespan;
-  metrics_exec m s.exec;
-  metrics_qcache m s.qcache;
-  metrics_pricing m s.pricing;
-  metrics_shared m ~sellers:s.sellers ~batcher:s.batcher ~cache:s.cache;
-  metrics_lat m "market.offer_rtt" s.offer_rtt;
-  metrics_lat m "market.queue_wait" s.queue_wait;
-  Metrics.to_json m
-
 (* ------------------------------------------------------------------- *)
 (* Open-stream marketplace: continuous arrivals, SLA deadlines,
    cancellation and load shedding on top of the same wave scheduler. *)
-
-module Sla = Qt_stream.Sla
-module Arrivals = Qt_stream.Arrivals
-module Shedding = Qt_stream.Shedding
 
 (* Time-resolved telemetry over a stream run: a scrape tick every
    [scrape_interval] sim seconds is interleaved with the completion and
@@ -1263,11 +1002,9 @@ module Shedding = Qt_stream.Shedding
 type telemetry_config = {
   scrape_interval : float;  (* sim seconds between scrape ticks *)
   slo_rules : Slo.rule list;
-  flight_capacity : int;  (* per-node flight-recorder ring size *)
 }
 
-let default_telemetry =
-  { scrape_interval = 1.0; slo_rules = []; flight_capacity = 32 }
+let default_telemetry = { scrape_interval = 1.0; slo_rules = [] }
 
 type stream_config = {
   base : config;
@@ -1304,57 +1041,6 @@ type stream_tel = {
   mutable tel_failures : Flight_recorder.bundle list;  (* newest first *)
 }
 
-type telemetry_stats = {
-  tl_interval : float;
-  tl_ticks : int;
-  tl_points : Timeseries.point list;  (* every series point, in order *)
-  tl_rules : Slo.rule list;
-  tl_alerts : (Slo.alert * Flight_recorder.bundle) list;  (* firing order *)
-  tl_failures : Flight_recorder.bundle list;
-      (* debug bundles for the first few trade failures/expiries *)
-}
-
-type class_stats = {
-  cs_klass : Sla.klass;
-  cs_arrivals : int;
-  cs_completed : int;
-  cs_hits : int;
-  cs_shed : int;
-  cs_expired : int;
-  cs_failed : int;
-  cs_goodput : float;
-  cs_cache_hits : int;
-      (* Arrivals of this class served from the cache tier (statement or
-         result hits); 0 when the tier is off. *)
-  cs_cache_hit_rate : float;  (* cache hits / arrivals *)
-  cs_latency : latency_summary;
-}
-
-type stream_stats = {
-  str_arrivals : int;
-  str_completed : int;
-  str_hits : int;
-  str_shed : int;
-  str_expired : int;
-  str_failed : int;
-  str_goodput : float;
-  str_latency : latency_summary;
-  str_classes : class_stats list;
-  str_sellers : seller_stats list;
-  str_batcher : Batcher.stats;
-  str_cache : Seller.cache_stats;
-  str_admission_retries : int;
-  str_makespan : float;
-  str_wire_messages : int;
-  str_wire_bytes : int;
-  str_offer_rtt : latency_summary;
-  str_queue_wait : latency_summary;
-  str_exec : exec_stats option;
-  str_qcache : Tier.stats option;
-  str_pricing : Pricing.stats option;
-  str_telemetry : telemetry_stats option;
-}
-
 (* Stream latencies outlive the default 10-second metrics domain (an
    overloaded queue can hold a batch query for minutes), so the
    end-to-end histograms use 10 ms buckets over a 1000-second span by
@@ -1367,6 +1053,134 @@ let stream_latency_histogram ?(domain = 1000.) metrics name =
   let buckets = min 100_000 ((hi + 1) / 100) in
   Metrics.histogram ~hi ~buckets ~scale metrics name
 
+(* The run report, assembled once at the end of either driver.  Per-trade
+   answers ([exec_trades]) are kept only when plans go to the execution
+   scheduler at admission (the batch driver); a stream keeps the
+   aggregate, since answer tables are not retained at stream scale. *)
+let run_report st trades ~trading_makespan ~exec_at_admission tel ~lat_all
+    ~lat_class =
+  let exec =
+    match (st.sched, st.cfg.execute) with
+    | Some sched, Some e ->
+      let es = Execsched.stats sched in
+      let exec_trade tr =
+        match (Execsched.result sched ~trade:tr.t_index, tr.t_plan) with
+        | Some table, Some _ ->
+          Some
+            {
+              et_trade = tr.t_index;
+              et_rows = List.length table.Table.rows;
+              et_digest = table_digest table;
+              et_finished_at =
+                Option.value
+                  (Execsched.finished_at sched ~trade:tr.t_index)
+                  ~default:0.;
+            }
+        | _ -> None
+      in
+      Some
+        {
+          exec_makespan = es.Execsched.exec_makespan;
+          tasks_run = es.Execsched.tasks_run;
+          shared_results = es.Execsched.shared_results;
+          exec_trades =
+            (if exec_at_admission then
+               List.filter_map exec_trade (Array.to_list trades)
+             else []);
+          exec_nodes = exec_node_stats e.workers es;
+        }
+    | _ -> None
+  in
+  let count pred =
+    Array.fold_left (fun acc tr -> if pred tr then acc + 1 else acc) 0 trades
+  in
+  let is_hit tr =
+    tr.t_status = Some Completed && tr.t_completed_at <= tr.t_deadline
+  in
+  let bucket pred =
+    let arrivals = count pred in
+    let completed = count (fun tr -> pred tr && tr.t_status = Some Completed) in
+    let hits = count (fun tr -> pred tr && is_hit tr) in
+    let shed = count (fun tr -> pred tr && tr.t_status = Some Shed) in
+    let expired = count (fun tr -> pred tr && tr.t_status = Some Expired) in
+    let failed =
+      count (fun tr ->
+          pred tr
+          && (tr.t_status = Some No_plan || tr.t_status = Some Admission_failed))
+    in
+    let goodput =
+      if arrivals = 0 then 0. else float_of_int hits /. float_of_int arrivals
+    in
+    (arrivals, completed, hits, shed, expired, failed, goodput)
+  in
+  let classes =
+    List.map
+      (fun k ->
+        let pred tr = tr.t_klass = Some k in
+        let arrivals, completed, hits, shed, expired, failed, goodput =
+          bucket pred
+        in
+        let cache_hits = count (fun tr -> pred tr && tr.t_cache_hit <> None) in
+        {
+          cs_klass = k;
+          cs_arrivals = arrivals;
+          cs_completed = completed;
+          cs_hits = hits;
+          cs_shed = shed;
+          cs_expired = expired;
+          cs_failed = failed;
+          cs_goodput = goodput;
+          cs_cache_hits = cache_hits;
+          cs_cache_hit_rate =
+            (if arrivals = 0 then 0.
+             else float_of_int cache_hits /. float_of_int arrivals);
+          cs_latency = summarize (lat_class k);
+        })
+      Sla.all
+  in
+  let arrivals, completed, hits, shed, expired, failed, goodput =
+    bucket (fun _ -> true)
+  in
+  let wire = Runtime.stats st.rt in
+  {
+    str_arrivals = arrivals;
+    str_completed = completed;
+    str_hits = hits;
+    str_shed = shed;
+    str_expired = expired;
+    str_failed = failed;
+    str_goodput = goodput;
+    str_latency = summarize lat_all;
+    str_classes = classes;
+    str_sellers = seller_stats_of st ~horizon:trading_makespan;
+    str_batcher = Batcher.stats st.batcher;
+    str_cache = Seller.pool_stats st.caches;
+    str_admission_retries = st.retries;
+    str_makespan =
+      (match exec with
+      | Some e -> Float.max trading_makespan e.exec_makespan
+      | None -> trading_makespan);
+    str_wire_messages = wire.Runtime.messages;
+    str_wire_bytes = wire.Runtime.bytes;
+    str_offer_rtt = summarize st.rtt;
+    str_queue_wait = summarize st.waits;
+    str_exec = exec;
+    str_qcache = Option.map (fun q -> Tier.stats q.q_tier) st.qcache;
+    str_pricing = Option.map Pricing.stats st.pstate;
+    str_telemetry =
+      Option.map
+        (fun t ->
+          {
+            tl_interval = t.tel_cfg.scrape_interval;
+            tl_ticks = Timeseries.ticks t.tel_ts;
+            tl_points = Timeseries.points t.tel_ts;
+            tl_rules = Slo.rules t.tel_slo;
+            tl_alerts = List.rev t.tel_alerts;
+            tl_failures = List.rev t.tel_failures;
+          })
+        tel;
+  }
+
 (* The one drive loop behind {!run} and {!run_stream}: release each
    trade at its arrival time (or shed it), start fibers under
    [base.concurrency], serve waves, and settle contract completions,
@@ -1375,31 +1189,20 @@ let stream_latency_histogram ?(domain = 1000.) metrics name =
    goes to the execution scheduler: at admission (the batch report pairs
    every admitted plan with its answer) or when its last contract
    completes (so a trade canceled at its deadline never executes).
-   Returns the market, the trading makespan, the telemetry state and
-   the end-to-end latency histograms (all classes, per class). *)
+   Returns the market, the trading makespan and the run report. *)
 let drive_loop ~obs scfg federation trades ~exec_at_admission =
   let cfg = scfg.base in
   let st = make_market ~obs cfg federation in
   let seller_ids = List.sort compare (Federation.node_ids federation) in
   (* The shedding policy's input: the occupancy of the most saturated
-     seller (contracts in service or queued over its slot + queue
-     capacity).  Under skewed template popularity load concentrates on a
-     few hot sellers, so a federation-wide average would stay low while
-     the bottleneck queue overflows; the max tracks the queue that
-     actually dooms deadlines. *)
-  let capacity =
-    float_of_int
-      (cfg.admission.Admission.slots + cfg.admission.Admission.queue_limit)
-  in
+     seller.  Under skewed template popularity load concentrates on a few
+     hot sellers, so a federation-wide average would stay low while the
+     bottleneck queue overflows; the max tracks the queue that actually
+     dooms deadlines. *)
   let occupancy () =
-    if capacity <= 0. then 1.
-    else
-      List.fold_left
-        (fun acc id ->
-          let adm = admission_of st id in
-          let used = Admission.in_service adm + Admission.queue_depth adm in
-          Float.max acc (float_of_int used /. capacity))
-        0. seller_ids
+    List.fold_left
+      (fun acc id -> Float.max acc (Admission.occupancy (admission_of st id)))
+      0. seller_ids
   in
   (* ---- telemetry state --------------------------------------------- *)
   (* All of it lives on the coordinator and is read-only with respect to
@@ -1415,7 +1218,7 @@ let drive_loop ~obs scfg federation trades ~exec_at_admission =
           tel_cfg = tc;
           tel_ts = Timeseries.create ~interval:tc.scrape_interval st.metrics;
           tel_slo = Slo.create tc.slo_rules;
-          tel_fr = Flight_recorder.create ~capacity:tc.flight_capacity;
+          tel_fr = Flight_recorder.create ~capacity:flight_capacity;
           tel_alerts = [];
           tel_failures = [];
         })
@@ -1622,9 +1425,7 @@ let drive_loop ~obs scfg federation trades ~exec_at_admission =
     List.iter
       (fun (id, (g_occ, g_load, g_rev)) ->
         let adm = admission_of st id in
-        let used = Admission.in_service adm + Admission.queue_depth adm in
-        Metrics.set g_occ
-          (if capacity <= 0. then 1. else float_of_int used /. capacity);
+        Metrics.set g_occ (Admission.occupancy adm);
         Metrics.set g_load (Admission.offered_load adm);
         Metrics.set g_rev (Admission.stats adm).Admission.busy)
       seller_gauges;
@@ -1818,7 +1619,7 @@ let drive_loop ~obs scfg federation trades ~exec_at_admission =
         if tr.t_attempts <= cfg.max_admission_retries && now < tr.t_deadline
         then begin
           st.retries <- st.retries + 1;
-          penalize tr seller cfg.rejection_penalty;
+          penalize tr seller rejection_penalty;
           Queue.add tr.t_index ready
         end
         else begin
@@ -1995,17 +1796,17 @@ let drive_loop ~obs scfg federation trades ~exec_at_admission =
         scrape_tick t ~now:trading_makespan)
     tel;
   emit_pool_span obs cfg.pool ~at:trading_makespan;
-  (st, trading_makespan, tel, lat_all, lat_class)
+  ( st,
+    trading_makespan,
+    run_report st trades ~trading_makespan ~exec_at_admission tel ~lat_all
+      ~lat_class )
 
 (* A batch is the degenerate stream: every query arrives at t=0 with no
-   deadline, nothing is shed and telemetry is off.  Plans go to the
-   execution scheduler at admission. *)
+   deadline and priority 0, nothing is shed and telemetry is off.  Plans
+   go to the execution scheduler at admission. *)
 let run ?(obs = Obs.disabled) cfg federation queries =
   let trades =
-    Array.of_list
-      (List.mapi
-         (fun i q -> make_trade ~index:i ~priority:(cfg.priority_of i) q)
-         queries)
+    Array.of_list (List.mapi (fun i q -> make_trade ~index:i ~priority:0 q) queries)
   in
   let scfg =
     {
@@ -2016,27 +1817,8 @@ let run ?(obs = Obs.disabled) cfg federation queries =
       latency_domain = 1000.;
     }
   in
-  let st, trading_makespan, _, _, _ =
+  let st, trading_makespan, report =
     drive_loop ~obs scfg federation trades ~exec_at_admission:true
-  in
-  let exec, makespan =
-    exec_report st ~trading_makespan (fun sched ->
-        List.filter_map
-          (fun tr ->
-            match (Execsched.result sched ~trade:tr.t_index, tr.t_plan) with
-            | Some table, Some _ ->
-              Some
-                {
-                  et_trade = tr.t_index;
-                  et_rows = List.length table.Table.rows;
-                  et_digest = table_digest table;
-                  et_finished_at =
-                    Option.value
-                      (Execsched.finished_at sched ~trade:tr.t_index)
-                      ~default:0.;
-                }
-            | _ -> None)
-          (Array.to_list trades))
   in
   (* Result-cache hits never reach the scheduler, but their answers still
      belong in [results] so callers can oracle them against fresh
@@ -2057,46 +1839,24 @@ let run ?(obs = Obs.disabled) cfg federation queries =
           | _ -> None)
         (Array.to_list trades)
   in
-  let sellers = seller_stats_of st ~horizon:trading_makespan in
-  let trade_list =
-    Array.to_list
-      (Array.map
-         (fun tr ->
-           {
-             trade = tr.t_index;
-             status = Option.value tr.t_status ~default:No_plan;
-             attempts = tr.t_attempts;
-             rounds = tr.t_rounds;
-             plan_cost = tr.t_plan_cost;
-             messages = tr.t_messages;
-             bytes = tr.t_bytes;
-             sim_time = tr.t_finished_at;
-             contracts = tr.t_contracts;
-             phases = tr.t_phases;
-           })
-         trades)
+  let trade_stats tr =
+    {
+      trade = tr.t_index;
+      status = Option.value tr.t_status ~default:No_plan;
+      attempts = tr.t_attempts;
+      rounds = tr.t_rounds;
+      plan_cost = tr.t_plan_cost;
+      messages = tr.t_messages;
+      bytes = tr.t_bytes;
+      sim_time = tr.t_finished_at;
+      contracts = tr.t_contracts;
+      phases = tr.t_phases;
+    }
   in
-  let completed =
-    List.length (List.filter (fun t -> t.status = Completed) trade_list)
-  in
-  let wire = Runtime.stats st.rt in
   {
-    trades = trade_list;
-    sellers;
-    batcher = Batcher.stats st.batcher;
-    cache = Seller.pool_stats st.caches;
-    completed;
-    failed = List.length trade_list - completed;
-    admission_retries = st.retries;
+    report;
+    trades = Array.to_list (Array.map trade_stats trades);
     trading_makespan;
-    makespan;
-    wire_messages = wire.Runtime.messages;
-    wire_bytes = wire.Runtime.bytes;
-    offer_rtt = summarize st.rtt;
-    queue_wait = summarize st.waits;
-    exec;
-    qcache = Option.map (fun q -> Tier.stats q.q_tier) st.qcache;
-    pricing = Option.map Pricing.stats st.pstate;
     results;
   }
 
@@ -2115,100 +1875,213 @@ let run_stream ?(obs = Obs.disabled) scfg federation ~templates arrivals =
              ~index:i ~priority:spec.Sla.priority
              templates.(a.Arrivals.template mod Array.length templates))
   in
-  let st, trading_makespan, tel, lat_all, lat_class =
+  let _, _, report =
     drive_loop ~obs scfg federation trades ~exec_at_admission:false
   in
-  (* Per-trade tables are not kept at stream scale. *)
-  let exec, makespan = exec_report st ~trading_makespan (fun _ -> []) in
-  let count pred =
-    Array.fold_left (fun acc tr -> if pred tr then acc + 1 else acc) 0 trades
-  in
-  let is_hit tr =
-    tr.t_status = Some Completed && tr.t_completed_at <= tr.t_deadline
-  in
-  let bucket pred =
-    let arrivals = count pred in
-    let completed = count (fun tr -> pred tr && tr.t_status = Some Completed) in
-    let hits = count (fun tr -> pred tr && is_hit tr) in
-    let shed = count (fun tr -> pred tr && tr.t_status = Some Shed) in
-    let expired = count (fun tr -> pred tr && tr.t_status = Some Expired) in
-    let failed =
-      count (fun tr ->
-          pred tr
-          && (tr.t_status = Some No_plan || tr.t_status = Some Admission_failed))
-    in
-    let goodput =
-      if arrivals = 0 then 0. else float_of_int hits /. float_of_int arrivals
-    in
-    (arrivals, completed, hits, shed, expired, failed, goodput)
-  in
-  let cache_hits_of pred =
-    count (fun tr -> pred tr && tr.t_cache_hit <> None)
-  in
-  let classes =
-    List.map
-      (fun k ->
-        let pred tr = tr.t_klass = Some k in
-        let arrivals, completed, hits, shed, expired, failed, goodput =
-          bucket pred
-        in
-        let cache_hits = cache_hits_of pred in
-        {
-          cs_klass = k;
-          cs_arrivals = arrivals;
-          cs_completed = completed;
-          cs_hits = hits;
-          cs_shed = shed;
-          cs_expired = expired;
-          cs_failed = failed;
-          cs_goodput = goodput;
-          cs_cache_hits = cache_hits;
-          cs_cache_hit_rate =
-            (if arrivals = 0 then 0.
-             else float_of_int cache_hits /. float_of_int arrivals);
-          cs_latency = summarize (lat_class k);
-        })
-      Sla.all
-  in
-  let arrivals, completed, hits, shed, expired, failed, goodput =
-    bucket (fun _ -> true)
-  in
-  let wire = Runtime.stats st.rt in
-  {
-    str_arrivals = arrivals;
-    str_completed = completed;
-    str_hits = hits;
-    str_shed = shed;
-    str_expired = expired;
-    str_failed = failed;
-    str_goodput = goodput;
-    str_latency = summarize lat_all;
-    str_classes = classes;
-    str_sellers = seller_stats_of st ~horizon:trading_makespan;
-    str_batcher = Batcher.stats st.batcher;
-    str_cache = Seller.pool_stats st.caches;
-    str_admission_retries = st.retries;
-    str_makespan = makespan;
-    str_wire_messages = wire.Runtime.messages;
-    str_wire_bytes = wire.Runtime.bytes;
-    str_offer_rtt = summarize st.rtt;
-    str_queue_wait = summarize st.waits;
-    str_exec = exec;
-    str_qcache = Option.map (fun q -> Tier.stats q.q_tier) st.qcache;
-    str_pricing = Option.map Pricing.stats st.pstate;
-    str_telemetry =
-      Option.map
-        (fun t ->
-          {
-            tl_interval = t.tel_cfg.scrape_interval;
-            tl_ticks = Timeseries.ticks t.tel_ts;
-            tl_points = Timeseries.points t.tel_ts;
-            tl_rules = Slo.rules t.tel_slo;
-            tl_alerts = List.rev t.tel_alerts;
-            tl_failures = List.rev t.tel_failures;
-          })
-        tel;
-  }
+  report
+
+(* ------------------------------------------------------------------- *)
+(* Rendering.  Every emitter below reads the one run report; the batch
+   emitters add the batch extras around the same section writers.
+   Canonical JSON: fixed key order, no wall-clock or process-local
+   values, floats through one formatter — same-seed runs render
+   byte-identically. *)
+
+let status_to_string = function
+  | Completed -> "completed"
+  | No_plan -> "no_plan"
+  | Admission_failed -> "admission_failed"
+  | Shed -> "shed"
+  | Expired -> "expired"
+
+let jf x = Printf.sprintf "%.6g" x
+
+(* One phase rendered without its wall-clock field — wall time is
+   process-local and would break byte-stable same-seed output. *)
+let phase_json (p : Trader.phase) =
+  Printf.sprintf
+    "{\"messages\":%d,\"bytes\":%d,\"cache_hits\":%d,\"cache_misses\":%d,\"sim\":%s}"
+    p.Trader.messages p.Trader.bytes p.Trader.cache_hits p.Trader.cache_misses
+    (jf p.Trader.sim)
+
+let phases_json (ph : Trader.phase_stats) =
+  Printf.sprintf
+    "{\"rfb\":%s,\"pricing\":%s,\"negotiation\":%s,\"plan_gen\":%s,\"requests_deduped\":%d,\"rebroadcasts_skipped\":%d}"
+    (phase_json ph.Trader.rfb) (phase_json ph.Trader.pricing)
+    (phase_json ph.Trader.negotiation) (phase_json ph.Trader.plan_gen)
+    ph.Trader.requests_deduped ph.Trader.rebroadcasts_skipped
+
+let latency_json (l : latency_summary) =
+  (* No observations means no percentiles: render null, not a fake 0. *)
+  let stat v = if l.l_count = 0 then "null" else jf v in
+  Printf.sprintf "{\"count\":%d,\"p50\":%s,\"p95\":%s,\"p99\":%s}" l.l_count
+    (stat l.l_p50) (stat l.l_p95) (stat l.l_p99)
+
+let seller_json (x : seller_stats) =
+  let a = x.admission in
+  Printf.sprintf
+    "{\"seller\":%d,\"admitted\":%d,\"accepted\":%d,\"rejected\":%d,\"completed\":%d,\"canceled\":%d,\"peak_queue\":%d,\"peak_active\":%d,\"busy\":%s,\"utilization\":%s}"
+    x.seller a.Admission.admitted a.Admission.accepted a.Admission.rejected
+    a.Admission.completed a.Admission.canceled a.Admission.peak_queue
+    a.Admission.peak_active (jf a.Admission.busy) (jf x.utilization)
+
+let batcher_json (bt : Batcher.stats) =
+  Printf.sprintf
+    "{\"batching\":%b,\"waves\":%d,\"sent_messages\":%d,\"sent_bytes\":%d,\"unbatched_messages\":%d,\"unbatched_bytes\":%d,\"messages_saved\":%d,\"bytes_saved\":%d,\"dup_signatures_merged\":%d}"
+    bt.Batcher.batching bt.Batcher.waves bt.Batcher.sent_messages
+    bt.Batcher.sent_bytes bt.Batcher.unbatched_messages
+    bt.Batcher.unbatched_bytes bt.Batcher.messages_saved bt.Batcher.bytes_saved
+    bt.Batcher.dup_signatures_merged
+
+let counts_json hits misses invalidations evictions =
+  Printf.sprintf
+    "{\"hits\":%d,\"misses\":%d,\"invalidations\":%d,\"evictions\":%d}" hits
+    misses invalidations evictions
+
+let cache_json (c : Seller.cache_stats) =
+  counts_json c.Seller.hits c.Seller.misses c.Seller.invalidations
+    c.Seller.evictions
+
+(* Rendered only when the tier is configured, so cache-off output stays
+   byte-identical to a build without the cache tier. *)
+let qcache_json (q : Tier.stats) =
+  let s = q.Tier.stmt and r = q.Tier.result in
+  Printf.sprintf
+    "{\"placement\":%S,\"stmt\":%s,\"result\":%s,\"trades_avoided\":%d,\"executions_avoided\":%d,\"hit_revenue\":%s,\"revenue_by_seller\":[%s],\"result_bytes\":%d}"
+    q.Tier.placement
+    (Printf.sprintf
+       "{\"hits\":%d,\"misses\":%d,\"invalidations\":%d,\"evictions\":%d,\"suppressed\":%d}"
+       s.Statement_cache.hits s.Statement_cache.misses
+       s.Statement_cache.invalidations s.Statement_cache.evictions
+       s.Statement_cache.suppressed)
+    (counts_json r.Result_cache.hits r.Result_cache.misses
+       r.Result_cache.invalidations r.Result_cache.evictions)
+    q.Tier.trades_avoided q.Tier.executions_avoided (jf q.Tier.hit_revenue)
+    (String.concat ","
+       (List.map
+          (fun (seller, rev) ->
+            Printf.sprintf "{\"seller\":%d,\"revenue\":%s}" seller (jf rev))
+          q.Tier.hit_revenue_by_seller))
+    q.Tier.result_bytes_held
+
+(* Rendered only when the pricing layer is configured, so pricing-off
+   output stays byte-identical to a build without lib/pricing. *)
+let pricing_json (p : Pricing.stats) =
+  Printf.sprintf
+    "{\"revenue\":%s,\"reservation_revenue\":%s,\"surge_activations\":%d,\"forced_flips\":%d,\"reserved_sold\":%d,\"reserved_completed\":%d,\"reserved_refunded\":%d,\"reservation_fill\":%s,\"sellers\":[%s]}"
+    (jf p.Pricing.p_revenue)
+    (jf p.Pricing.p_reservation_revenue)
+    p.Pricing.p_surge_activations p.Pricing.p_forced_flips
+    p.Pricing.p_reserved_sold p.Pricing.p_reserved_completed
+    p.Pricing.p_reserved_refunded
+    (jf p.Pricing.p_reservation_fill)
+    (String.concat ","
+       (List.map
+          (fun (x : Pricing.seller_stats) ->
+            Printf.sprintf
+              "{\"seller\":%d,\"strategy\":\"%s\",\"surging\":%b,\"surge_activations\":%d,\"revenue\":%s,\"reserved_sold\":%d,\"reserved_completed\":%d,\"reserved_refunded\":%d,\"reservation_revenue\":%s}"
+              x.Pricing.ps_seller
+              (Pricing.strategy_to_string x.Pricing.ps_strategy)
+              x.Pricing.ps_surging x.Pricing.ps_surge_activations
+              (jf x.Pricing.ps_revenue) x.Pricing.ps_reserved_sold
+              x.Pricing.ps_reserved_completed x.Pricing.ps_reserved_refunded
+              (jf x.Pricing.ps_reservation_revenue))
+          p.Pricing.p_sellers))
+
+let exec_node_json (n : exec_node) =
+  Printf.sprintf "{\"node\":%d,\"tasks\":%d,\"busy\":%s,\"utilization\":%s}"
+    n.en_node n.en_tasks (jf n.en_busy) (jf n.en_utilization)
+
+let add_list b f xs =
+  Buffer.add_char b '[';
+  List.iteri
+    (fun i x ->
+      if i > 0 then Buffer.add_char b ',';
+      f x)
+    xs;
+  Buffer.add_char b ']'
+
+(* ,"sellers":[..],"batcher":{..},"cache":{..} *)
+let add_market_json b (r : stream_stats) =
+  Buffer.add_string b ",\"sellers\":";
+  add_list b (fun x -> Buffer.add_string b (seller_json x)) r.str_sellers;
+  Buffer.add_string b (",\"batcher\":" ^ batcher_json r.str_batcher);
+  Buffer.add_string b (",\"cache\":" ^ cache_json r.str_cache)
+
+(* ,"makespan":..,"wire_messages":..,"wire_bytes":..,"offer_rtt":{..},"queue_wait":{..} *)
+let add_wire_json b (r : stream_stats) =
+  Buffer.add_string b
+    (Printf.sprintf
+       ",\"makespan\":%s,\"wire_messages\":%d,\"wire_bytes\":%d,\"offer_rtt\":%s,\"queue_wait\":%s"
+       (jf r.str_makespan) r.str_wire_messages r.str_wire_bytes
+       (latency_json r.str_offer_rtt)
+       (latency_json r.str_queue_wait))
+
+(* ,"exec":{"makespan":..,"tasks":..,"shared_results":..  — the caller
+   then writes what it keeps per trade and closes with
+   [add_exec_nodes_json]. *)
+let add_exec_head_json b e =
+  Buffer.add_string b
+    (Printf.sprintf ",\"exec\":{\"makespan\":%s,\"tasks\":%d,\"shared_results\":%d"
+       (jf e.exec_makespan) e.tasks_run e.shared_results)
+
+let add_exec_nodes_json b e =
+  Buffer.add_string b ",\"nodes\":";
+  add_list b (fun n -> Buffer.add_string b (exec_node_json n)) e.exec_nodes;
+  Buffer.add_char b '}'
+
+(* ,"qcache":{..} and ,"pricing":{..}, each only when configured. *)
+let add_layers_json b (r : stream_stats) =
+  Option.iter
+    (fun q -> Buffer.add_string b (",\"qcache\":" ^ qcache_json q))
+    r.str_qcache;
+  Option.iter
+    (fun p -> Buffer.add_string b (",\"pricing\":" ^ pricing_json p))
+    r.str_pricing
+
+let to_json (s : stats) =
+  let r = s.report in
+  let b = Buffer.create 2048 in
+  let add = Buffer.add_string b in
+  add "{\"trades\":";
+  add_list b
+    (fun (t : trade_stats) ->
+      add
+        (Printf.sprintf
+           "{\"trade\":%d,\"status\":\"%s\",\"attempts\":%d,\"rounds\":%d,\"plan_cost\":%s,\"messages\":%d,\"bytes\":%d,\"sim_time\":%s,\"phases\":%s,\"contracts\":"
+           t.trade (status_to_string t.status) t.attempts t.rounds
+           (jf t.plan_cost) t.messages t.bytes (jf t.sim_time)
+           (phases_json t.phases));
+      add_list b
+        (fun (seller, work) ->
+          add (Printf.sprintf "{\"seller\":%d,\"work\":%s}" seller (jf work)))
+        t.contracts;
+      add "}")
+    s.trades;
+  add_market_json b r;
+  add
+    (Printf.sprintf
+       ",\"completed\":%d,\"failed\":%d,\"admission_retries\":%d,\"trading_makespan\":%s"
+       r.str_completed
+       (List.length s.trades - r.str_completed)
+       r.str_admission_retries (jf s.trading_makespan));
+  add_wire_json b r;
+  (match r.str_exec with
+  | None -> add ",\"exec\":null"
+  | Some e ->
+    add_exec_head_json b e;
+    add ",\"trades\":";
+    add_list b
+      (fun (t : exec_trade) ->
+        add
+          (Printf.sprintf
+             "{\"trade\":%d,\"rows\":%d,\"digest\":%d,\"finished_at\":%s}"
+             t.et_trade t.et_rows t.et_digest (jf t.et_finished_at)))
+      e.exec_trades;
+    add_exec_nodes_json b e);
+  add_layers_json b r;
+  add "}";
+  Buffer.contents b
 
 (* Cache fields render only when the tier was on, keeping cache-off
    stream JSON byte-identical to a cache-less build. *)
@@ -2228,44 +2101,24 @@ let class_json ~qcache (c : class_stats) =
 let stream_to_json (s : stream_stats) =
   let b = Buffer.create 1024 in
   let add = Buffer.add_string b in
-  let list f xs =
-    add "[";
-    List.iteri (fun i x -> if i > 0 then add ","; f x) xs;
-    add "]"
-  in
   add
     (Printf.sprintf
        "{\"arrivals\":%d,\"completed\":%d,\"hits\":%d,\"shed\":%d,\"expired\":%d,\"failed\":%d,\"goodput\":%s,\"latency\":%s"
        s.str_arrivals s.str_completed s.str_hits s.str_shed s.str_expired
        s.str_failed (jf s.str_goodput) (latency_json s.str_latency));
   add ",\"classes\":";
-  list (fun c -> add (class_json ~qcache:(s.str_qcache <> None) c)) s.str_classes;
-  add ",\"sellers\":";
-  list (fun x -> add (seller_json x)) s.str_sellers;
-  add (",\"batcher\":" ^ batcher_json s.str_batcher);
-  add (",\"cache\":" ^ cache_json s.str_cache);
-  add
-    (Printf.sprintf
-       ",\"admission_retries\":%d,\"makespan\":%s,\"wire_messages\":%d,\"wire_bytes\":%d,\"offer_rtt\":%s,\"queue_wait\":%s"
-       s.str_admission_retries (jf s.str_makespan) s.str_wire_messages
-       s.str_wire_bytes
-       (latency_json s.str_offer_rtt)
-       (latency_json s.str_queue_wait));
+  add_list b
+    (fun c -> add (class_json ~qcache:(s.str_qcache <> None) c))
+    s.str_classes;
+  add_market_json b s;
+  add (Printf.sprintf ",\"admission_retries\":%d" s.str_admission_retries);
+  add_wire_json b s;
   (match s.str_exec with
   | None -> add ",\"exec\":null"
   | Some e ->
-    add
-      (Printf.sprintf
-         ",\"exec\":{\"makespan\":%s,\"tasks\":%d,\"shared_results\":%d,\"nodes\":"
-         (jf e.exec_makespan) e.tasks_run e.shared_results);
-    list (fun n -> add (exec_node_json n)) e.exec_nodes;
-    add "}");
-  (match s.str_qcache with
-  | None -> ()
-  | Some q -> add (",\"qcache\":" ^ qcache_json q));
-  (match s.str_pricing with
-  | None -> ()
-  | Some p -> add (",\"pricing\":" ^ pricing_json p));
+    add_exec_head_json b e;
+    add_exec_nodes_json b e);
+  add_layers_json b s;
   (* Rendered only when telemetry was on, keeping telemetry-off stream
      JSON byte-identical to a telemetry-less build.  The full point
      series goes to the JSONL dump ([telemetry_jsonl]); this carries the
@@ -2277,18 +2130,18 @@ let stream_to_json (s : stream_stats) =
       (Printf.sprintf
          ",\"telemetry\":{\"interval\":%s,\"ticks\":%d,\"points\":%d,\"rules\":"
          (jf t.tl_interval) t.tl_ticks (List.length t.tl_points));
-    list
+    add_list b
       (fun (r : Slo.rule) -> add (Printf.sprintf "%S" r.Slo.r_name))
       t.tl_rules;
     add ",\"alerts\":";
-    list
+    add_list b
       (fun ((al : Slo.alert), bundle) ->
         add
           (Printf.sprintf "{\"alert\":%s,\"bundle\":%s}" (Slo.alert_to_json al)
              (Flight_recorder.bundle_to_json bundle)))
       t.tl_alerts;
     add ",\"failures\":";
-    list (fun bd -> add (Flight_recorder.bundle_to_json bd)) t.tl_failures;
+    add_list b (fun bd -> add (Flight_recorder.bundle_to_json bd)) t.tl_failures;
     add "}");
   add "}";
   Buffer.contents b
@@ -2314,6 +2167,120 @@ let telemetry_jsonl (t : telemetry_stats) =
         (Printf.sprintf "{\"failure\":%s}\n" (Flight_recorder.bundle_to_json bd)))
     t.tl_failures;
   Buffer.contents b
+
+(* Flat metrics renderings: the sections both registries share, then the
+   batch ([market.*]) and stream ([stream.*]) headline counters. *)
+let metrics_c m name v = Metrics.incr ~by:v (Metrics.counter m name)
+let metrics_g m name v = Metrics.set (Metrics.gauge m name) v
+
+let metrics_lat m name (l : latency_summary) =
+  metrics_c m (name ^ ".count") l.l_count;
+  metrics_g m (name ^ ".p50") l.l_p50;
+  metrics_g m (name ^ ".p95") l.l_p95;
+  metrics_g m (name ^ ".p99") l.l_p99
+
+let metrics_exec m = function
+  | None -> ()
+  | Some e ->
+    metrics_c m "exec.tasks" e.tasks_run;
+    metrics_c m "exec.shared_results" e.shared_results;
+    metrics_g m "exec.makespan" e.exec_makespan;
+    List.iter
+      (fun (n : exec_node) ->
+        let p = Printf.sprintf "exec.node.%d." n.en_node in
+        metrics_c m (p ^ "tasks") n.en_tasks;
+        metrics_g m (p ^ "busy") n.en_busy;
+        metrics_g m (p ^ "utilization") n.en_utilization)
+      e.exec_nodes
+
+(* qcache.* metrics appear only when the tier was configured, keeping
+   cache-off metrics output identical to a cache-less build. *)
+let metrics_qcache m = function
+  | None -> ()
+  | Some (q : Tier.stats) ->
+    metrics_c m "qcache.stmt.hits" q.Tier.stmt.Statement_cache.hits;
+    metrics_c m "qcache.stmt.misses" q.Tier.stmt.Statement_cache.misses;
+    metrics_c m "qcache.stmt.invalidations"
+      q.Tier.stmt.Statement_cache.invalidations;
+    metrics_c m "qcache.stmt.evictions" q.Tier.stmt.Statement_cache.evictions;
+    metrics_c m "qcache.stmt.suppressed" q.Tier.stmt.Statement_cache.suppressed;
+    metrics_c m "qcache.result.hits" q.Tier.result.Result_cache.hits;
+    metrics_c m "qcache.result.misses" q.Tier.result.Result_cache.misses;
+    metrics_c m "qcache.result.invalidations"
+      q.Tier.result.Result_cache.invalidations;
+    metrics_c m "qcache.result.evictions" q.Tier.result.Result_cache.evictions;
+    metrics_c m "qcache.trades_avoided" q.Tier.trades_avoided;
+    metrics_c m "qcache.executions_avoided" q.Tier.executions_avoided;
+    metrics_c m "qcache.result_bytes" q.Tier.result_bytes_held;
+    metrics_g m "qcache.hit_revenue" q.Tier.hit_revenue
+
+(* pricing.* metrics appear only when the layer was configured, keeping
+   pricing-off metrics output identical to a pricing-less build. *)
+let metrics_pricing m = function
+  | None -> ()
+  | Some (p : Pricing.stats) ->
+    metrics_g m "pricing.revenue" p.Pricing.p_revenue;
+    metrics_g m "pricing.reservation_revenue" p.Pricing.p_reservation_revenue;
+    metrics_c m "pricing.surge_activations" p.Pricing.p_surge_activations;
+    metrics_c m "pricing.forced_flips" p.Pricing.p_forced_flips;
+    metrics_c m "pricing.reserved_sold" p.Pricing.p_reserved_sold;
+    metrics_c m "pricing.reserved_completed" p.Pricing.p_reserved_completed;
+    metrics_c m "pricing.reserved_refunded" p.Pricing.p_reserved_refunded;
+    metrics_g m "pricing.reservation_fill" p.Pricing.p_reservation_fill;
+    List.iter
+      (fun (x : Pricing.seller_stats) ->
+        let pre = Printf.sprintf "pricing.seller.%d." x.Pricing.ps_seller in
+        metrics_g m (pre ^ "revenue") x.Pricing.ps_revenue;
+        metrics_c m (pre ^ "surge_activations") x.Pricing.ps_surge_activations)
+      p.Pricing.p_sellers
+
+(* The registry sections every run report renders, whichever driver
+   produced it. *)
+let metrics_report m (r : stream_stats) =
+  let c = metrics_c m and g = metrics_g m in
+  metrics_exec m r.str_exec;
+  metrics_qcache m r.str_qcache;
+  metrics_pricing m r.str_pricing;
+  let bt = r.str_batcher in
+  c "batcher.waves" bt.Batcher.waves;
+  c "batcher.sent_messages" bt.Batcher.sent_messages;
+  c "batcher.sent_bytes" bt.Batcher.sent_bytes;
+  c "batcher.messages_saved" bt.Batcher.messages_saved;
+  c "batcher.bytes_saved" bt.Batcher.bytes_saved;
+  c "batcher.dup_signatures_merged" bt.Batcher.dup_signatures_merged;
+  let ca = r.str_cache in
+  c "cache.hits" ca.Seller.hits;
+  c "cache.misses" ca.Seller.misses;
+  c "cache.invalidations" ca.Seller.invalidations;
+  c "cache.evictions" ca.Seller.evictions;
+  List.iter
+    (fun (x : seller_stats) ->
+      let p = Printf.sprintf "seller.%d." x.seller in
+      c (p ^ "admitted") x.admission.Admission.admitted;
+      c (p ^ "rejected") x.admission.Admission.rejected;
+      c (p ^ "completed") x.admission.Admission.completed;
+      g (p ^ "busy") x.admission.Admission.busy;
+      g (p ^ "utilization") x.utilization)
+    r.str_sellers;
+  metrics_lat m "market.offer_rtt" r.str_offer_rtt;
+  metrics_lat m "market.queue_wait" r.str_queue_wait
+
+(* What [qtsim market --metrics FILE] writes.  Derived entirely from
+   [stats], so it shares its determinism. *)
+let metrics_json (s : stats) =
+  let r = s.report in
+  let m = Metrics.create () in
+  let c = metrics_c m and g = metrics_g m in
+  c "market.trades" (List.length s.trades);
+  c "market.completed" r.str_completed;
+  c "market.failed" (List.length s.trades - r.str_completed);
+  c "market.admission_retries" r.str_admission_retries;
+  c "market.wire_messages" r.str_wire_messages;
+  c "market.wire_bytes" r.str_wire_bytes;
+  g "market.trading_makespan" s.trading_makespan;
+  g "market.makespan" r.str_makespan;
+  metrics_report m r;
+  Metrics.to_json m
 
 let stream_metrics_registry (s : stream_stats) =
   let m = Metrics.create () in
@@ -2350,13 +2317,7 @@ let stream_metrics_registry (s : stream_stats) =
       end;
       metrics_lat m (p ^ "latency") cl.cs_latency)
     s.str_classes;
-  metrics_exec m s.str_exec;
-  metrics_qcache m s.str_qcache;
-  metrics_pricing m s.str_pricing;
-  metrics_shared m ~sellers:s.str_sellers ~batcher:s.str_batcher
-    ~cache:s.str_cache;
-  metrics_lat m "market.offer_rtt" s.str_offer_rtt;
-  metrics_lat m "market.queue_wait" s.str_queue_wait;
+  metrics_report m s;
   m
 
 let stream_metrics_json (s : stream_stats) =

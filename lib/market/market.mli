@@ -26,8 +26,9 @@
     Scheduling is fully deterministic: fibers start and resume in trade
     order, sellers are served in ascending id order, contract completions
     drain from a tie-broken event queue, and no wall-clock value reaches
-    {!stats} — the same (workload, config, seed) replays byte-for-byte,
-    which {!to_json} makes checkable. *)
+    the run report ({!stream_stats}) — the same (workload, config, seed)
+    replays byte-for-byte, which {!to_json} and {!stream_to_json} make
+    checkable. *)
 
 type exec_config = {
   workers : int;  (** Parallel execution servers per node. *)
@@ -50,21 +51,18 @@ type config = {
   trader : Qt_core.Trader.config;
       (** Per-trade optimizer settings.  [load_of] becomes the {e base}
           load; the market adds admission load and rejection penalties on
-          top.  Subcontracting is forcibly disabled (a seller-side
-          sub-market cannot suspend inside another trade's fiber). *)
+          top (a fixed 2.0 load units on each seller that rejected the
+          retrying trade — the steering force toward other replicas).
+          Subcontracting is forcibly disabled (a seller-side sub-market
+          cannot suspend inside another trade's fiber).  Sellers keep
+          4096-entry bid caches ({!Qt_core.Seller.pool_create}'s
+          default). *)
   admission : Admission.config;  (** Applied to every seller node. *)
   batching : bool;  (** Coalesce RFBs across trades (default on). *)
   concurrency : int;
       (** Max trades in flight at once; [0] (default) = all at once. *)
   max_admission_retries : int;
       (** Re-optimizations allowed after an admission rejection. *)
-  rejection_penalty : float;
-      (** Extra load a retrying trade sees on each seller that rejected
-          it — the steering force toward other replicas. *)
-  priority_of : int -> int;
-      (** Buyer priority by trade index, read by the [Priority] and
-          [Proportional_share] arbitration policies. *)
-  cache_entries : int;  (** Per-seller bid-cache LRU capacity. *)
   seed : int;  (** Runtime seed (latency jitter, if configured). *)
   execute : exec_config option;
       (** When set, every admitted plan also {e executes}: the market
@@ -109,8 +107,7 @@ type config = {
 
 val default_config : Qt_cost.Params.t -> config
 (** Default trader, default admission, batching on, unlimited
-    concurrency, 2 retries, penalty 2.0, uniform priority, 4096 cache
-    entries, seed 7, no execution. *)
+    concurrency, 2 retries, seed 7, no execution. *)
 
 type status =
   | Completed  (** Planned and every contract admitted. *)
@@ -178,140 +175,18 @@ type exec_stats = {
   exec_makespan : float;  (** Latest task completion on the timeline. *)
   tasks_run : int;
   shared_results : int;  (** Remote executions saved by result sharing. *)
-  exec_trades : exec_trade list;  (** Executed trades, by index. *)
+  exec_trades : exec_trade list;
+      (** Executed trades, by index.  Filled by {!run} only: a stream
+          keeps the aggregate, since per-trade answer tables are not
+          retained at stream scale. *)
   exec_nodes : exec_node list;  (** Ascending node id, active nodes only. *)
 }
 
-type stats = {
-  trades : trade_stats list;  (** By trade index. *)
-  sellers : seller_stats list;  (** Ascending seller id, every node. *)
-  batcher : Batcher.stats;
-  cache : Qt_core.Seller.cache_stats;  (** Pooled bid-cache counters. *)
-  completed : int;
-  failed : int;
-  admission_retries : int;  (** Re-optimizations forced by rejections. *)
-  trading_makespan : float;
-      (** Virtual time when the last contract completed (or last trade
-          ended, if later) — the marketplace's own horizon, execution
-          excluded. *)
-  makespan : float;
-      (** End of everything: [trading_makespan], extended to the last
-          execution-task completion when the run executes plans. *)
-  wire_messages : int;  (** Total messages on the shared runtime. *)
-  wire_bytes : int;
-  offer_rtt : latency_summary;
-      (** Offer round trips: RFB window close to each reply's arrival
-          back at its buyer. *)
-  queue_wait : latency_summary;
-      (** Admission queue waits across all sellers: contract submission
-          to service start (0 for immediate starts). *)
-  exec : exec_stats option;  (** Present when [config.execute] was set. *)
-  qcache : Qt_cache.Tier.stats option;
-      (** Cache-tier counters and hit revenue; present iff
-          [config.qcache] was set. *)
-  pricing : Qt_pricing.Pricing.stats option;
-      (** Per-seller revenue, surge activations and reservation fill;
-          present iff [config.pricing] was set. *)
-  results : (int * Qt_optimizer.Plan.t * Qt_exec.Table.t) list;
-      (** Each executed trade's [(index, admitted plan, answer table)] —
-          the parity tests' raw material.  Result-cache hits appear here
-          too (with the plan that originally produced the answer), so an
-          oracle sweep over [results] also checks every cache-served
-          answer.  Not serialized by {!to_json}. *)
-}
+(** {1 The run report}
 
-val run :
-  ?obs:Qt_obs.Obs.t ->
-  config ->
-  Qt_catalog.Federation.t ->
-  Qt_sql.Ast.t list ->
-  stats
-(** Trade every query concurrently — query [i] is trade [i] on buyer
-    node [-(i+1)] — and run the market until all trades have ended and
-    all admitted contracts completed.
-
-    A batch is the degenerate {!run_stream}: the same drive loop, with
-    every query arriving at time 0 with no deadline and priority
-    [priority_of i], no shedding and no telemetry.  One behaviour
-    differs: an admitted plan goes to the execution scheduler at
-    admission, not when its last contract completes, and its answer is
-    reported per trade in [exec.exec_trades] and [results].
-
-    [obs] (default: the no-op sink) records the whole run: an [arrive]
-    instant and per-trade phase spans on each buyer's track (via
-    {!Qt_core.Trader.optimize}),
-    RFB-wave spans on the market's own track with per-seller envelope
-    message spans nested under them, admission decisions
-    (admit/enqueue/reject/cancel) as instants on the deciding seller's
-    track, and one [contract] span per completed contract from service
-    start to completion. *)
-
-val to_json : stats -> string
-(** Canonical single-line JSON rendering.  Contains no wall-clock or
-    process-local values, so two same-seed runs yield identical strings
-    — the determinism check used by tests and [bench market].  Each
-    trade carries its per-phase breakdown (wall time excluded). *)
-
-val metrics_json : stats -> string
-(** Flat metrics-registry rendering of the same run (keys sorted) — what
-    [qtsim market --metrics FILE] writes. *)
-
-(** {1 Open-stream marketplace}
-
-    {!run} trades a fixed batch; {!run_stream} drives the same loop as an
-    open system: queries arrive continuously (see
-    {!Qt_stream.Arrivals}), each carries an SLA class resolving to a
-    completion deadline and an admission priority
-    ({!Qt_stream.Sla}), and the marketplace enforces the deadlines —
-    expiring queries still waiting for capacity, poisoning optimization
-    fibers mid-trade, and withdrawing admitted contracts through the
-    {!Admission.cancel} path (already-scheduled completion events turn
-    stale and are skipped by the {!Admission.is_active} guard).  Under
-    saturation an optional shedding policy ({!Qt_stream.Shedding})
-    rejects arrivals at the door before they cost any optimization or
-    wire work.
-
-    Everything stays deterministic: arrivals are a pre-generated
-    schedule, deadline events live in a tie-broken event queue drained
-    in time order against contract completions (completions win ties),
-    and no wall-clock value reaches {!stream_stats}. *)
-
-type telemetry_config = {
-  scrape_interval : float;
-      (** Sim-time seconds between scrape ticks on the shared event
-          timeline; must be positive. *)
-  slo_rules : Qt_obs.Slo.rule list;
-      (** Burn-rate alert rules evaluated at each scrape tick. *)
-  flight_capacity : int;
-      (** Per-node flight-recorder ring size (recent span entries kept
-          for debug bundles). *)
-}
-
-val default_telemetry : telemetry_config
-(** Scrape every 1.0 sim seconds, no SLO rules, 32-entry rings. *)
-
-type stream_config = {
-  base : config;
-      (** The batch marketplace settings underneath.  [priority_of] is
-          ignored — stream priorities come from each query's SLA spec. *)
-  spec_of : Qt_stream.Sla.klass -> Qt_stream.Sla.spec;
-      (** Resolve an arrival's class to its deadline and priority. *)
-  shedding : Qt_stream.Shedding.policy;
-  telemetry : telemetry_config option;
-      (** Time-resolved telemetry: scrape ticks scheduled as events on
-          the shared timeline, SLO burn-rate alerting and a per-node
-          flight recorder.  [None] (the default) leaves every output
-          byte-identical to a telemetry-free build. *)
-  latency_domain : float;
-      (** Upper bound (sim seconds) of the end-to-end latency histogram
-          domain; resolution adapts so the bucket count stays bounded.
-          The 1000.0 default reproduces the historical fixed domain
-          exactly. *)
-}
-
-val default_stream_config : Qt_cost.Params.t -> stream_config
-(** {!default_config} with [Priority] admission arbitration and
-    concurrency 32, default SLA specs, no shedding, no telemetry. *)
+    Both drivers return one report, {!stream_stats}, assembled once at
+    the end of the shared drive loop.  {!run} wraps it in {!stats} with
+    the per-trade detail only a batch keeps. *)
 
 type class_stats = {
   cs_klass : Qt_stream.Sla.klass;
@@ -348,30 +223,34 @@ type telemetry_stats = {
 
 type stream_stats = {
   str_arrivals : int;
-  str_completed : int;
-  str_hits : int;
+  str_completed : int;  (** Every contract completed (not canceled). *)
+  str_hits : int;  (** Completed within the deadline. *)
   str_shed : int;
   str_expired : int;
-  str_failed : int;
-  str_goodput : float;
+  str_failed : int;  (** [No_plan] + [Admission_failed]. *)
+  str_goodput : float;  (** [hits / arrivals]; 0 with no arrivals. *)
   str_latency : latency_summary;  (** End-to-end, all classes. *)
   str_classes : class_stats list;  (** In {!Qt_stream.Sla.all} order. *)
-  str_sellers : seller_stats list;
+  str_sellers : seller_stats list;  (** Ascending seller id, every node. *)
   str_batcher : Batcher.stats;
-  str_cache : Qt_core.Seller.cache_stats;
-  str_admission_retries : int;
+  str_cache : Qt_core.Seller.cache_stats;  (** Pooled bid-cache counters. *)
+  str_admission_retries : int;  (** Re-optimizations forced by rejections. *)
   str_makespan : float;
       (** Last event on the timeline: trading, contracts and (when
           executing) execution tasks. *)
-  str_wire_messages : int;
+  str_wire_messages : int;  (** Total messages on the shared runtime. *)
   str_wire_bytes : int;
   str_offer_rtt : latency_summary;
+      (** Offer round trips: RFB window close to each reply's arrival
+          back at its buyer. *)
   str_queue_wait : latency_summary;
+      (** Admission queue waits across all sellers: contract submission
+          to service start (0 for immediate starts). *)
   str_exec : exec_stats option;
-      (** Aggregate only ([exec_trades] is empty): per-trade answer
-          tables are not retained at stream scale.  Execution of a
-          trade's plan is submitted when its last contract completes, so
-          canceled trades never reach the execution scheduler. *)
+      (** Present when [base.execute] was set.  In a stream, execution
+          of a trade's plan is submitted when its last contract
+          completes, so canceled trades never reach the execution
+          scheduler. *)
   str_qcache : Qt_cache.Tier.stats option;
       (** Cache-tier counters and hit revenue; present iff
           [base.qcache] was set. *)
@@ -382,6 +261,121 @@ type stream_stats = {
       (** Present iff [telemetry] was set; scraped entirely on the
           coordinator, so it is byte-identical at any [--domains]. *)
 }
+
+type stats = {
+  report : stream_stats;
+      (** The run report, the same record {!run_stream} returns: a batch
+          of [n] queries reports [n] arrivals, no shed or expired trades,
+          all-zero [str_classes] (batch trades carry no SLA class), and
+          each executed trade's answer in [str_exec.exec_trades]. *)
+  trades : trade_stats list;  (** By trade index. *)
+  trading_makespan : float;
+      (** Virtual time when the last contract completed (or last trade
+          ended, if later) — the marketplace's own horizon, execution
+          excluded.  [report.str_makespan] extends it to the last
+          execution-task completion when the run executes plans. *)
+  results : (int * Qt_optimizer.Plan.t * Qt_exec.Table.t) list;
+      (** Each executed trade's [(index, admitted plan, answer table)] —
+          the parity tests' raw material.  Result-cache hits appear here
+          too (with the plan that originally produced the answer), so an
+          oracle sweep over [results] also checks every cache-served
+          answer.  Not serialized by {!to_json}. *)
+}
+(** A batch run: the report plus what only a batch keeps. *)
+
+val run :
+  ?obs:Qt_obs.Obs.t ->
+  config ->
+  Qt_catalog.Federation.t ->
+  Qt_sql.Ast.t list ->
+  stats
+(** Trade every query concurrently — query [i] is trade [i] on buyer
+    node [-(i+1)] — and run the market until all trades have ended and
+    all admitted contracts completed.
+
+    A batch is the degenerate {!run_stream}: the same drive loop and the
+    same report, with every query arriving at time 0 with no deadline
+    and priority 0, no shedding and no telemetry.  One behaviour
+    differs: an admitted plan goes to the execution scheduler at
+    admission, not when its last contract completes, and its answer is
+    reported per trade in [report.str_exec.exec_trades] and
+    [results].
+
+    [obs] (default: the no-op sink) records the whole run: an [arrive]
+    instant and per-trade phase spans on each buyer's track (via
+    {!Qt_core.Trader.optimize}),
+    RFB-wave spans on the market's own track with per-seller envelope
+    message spans nested under them, admission decisions
+    (admit/enqueue/reject/cancel) as instants on the deciding seller's
+    track, and one [contract] span per completed contract from service
+    start to completion. *)
+
+val to_json : stats -> string
+(** Canonical single-line JSON rendering.  Contains no wall-clock or
+    process-local values, so two same-seed runs yield identical strings
+    — the determinism check used by tests and [bench market].  Each
+    trade carries its per-phase breakdown (wall time excluded);
+    ["failed"] is [trades - completed]. *)
+
+val metrics_json : stats -> string
+(** Flat metrics-registry rendering of the same run (keys sorted) — what
+    [qtsim market --metrics FILE] writes. *)
+
+(** {1 Open-stream marketplace}
+
+    {!run} trades a fixed batch; {!run_stream} drives the same loop as an
+    open system: queries arrive continuously (see
+    {!Qt_stream.Arrivals}), each carries an SLA class resolving to a
+    completion deadline and an admission priority
+    ({!Qt_stream.Sla}), and the marketplace enforces the deadlines —
+    expiring queries still waiting for capacity, poisoning optimization
+    fibers mid-trade, and withdrawing admitted contracts through the
+    {!Admission.cancel} path (already-scheduled completion events turn
+    stale and are skipped by the {!Admission.is_active} guard).  Under
+    saturation an optional shedding policy ({!Qt_stream.Shedding})
+    rejects arrivals at the door before they cost any optimization or
+    wire work.
+
+    Everything stays deterministic: arrivals are a pre-generated
+    schedule, deadline events live in a tie-broken event queue drained
+    in time order against contract completions (completions win ties),
+    and no wall-clock value reaches {!stream_stats}. *)
+
+type telemetry_config = {
+  scrape_interval : float;
+      (** Sim-time seconds between scrape ticks on the shared event
+          timeline; must be positive. *)
+  slo_rules : Qt_obs.Slo.rule list;
+      (** Burn-rate alert rules evaluated at each scrape tick. *)
+}
+(** Each node's flight recorder keeps its 32 most recent entries for
+    debug bundles. *)
+
+val default_telemetry : telemetry_config
+(** Scrape every 1.0 sim seconds, no SLO rules. *)
+
+type stream_config = {
+  base : config;
+      (** The batch marketplace settings underneath.  Priorities come
+          from each query's SLA spec. *)
+  spec_of : Qt_stream.Sla.klass -> Qt_stream.Sla.spec;
+      (** Resolve an arrival's class to its deadline and priority. *)
+  shedding : Qt_stream.Shedding.policy;
+  telemetry : telemetry_config option;
+      (** Time-resolved telemetry: scrape ticks scheduled as events on
+          the shared timeline, SLO burn-rate alerting and a per-node
+          flight recorder.  [None] (the default) leaves every output
+          byte-identical to a telemetry-free build. *)
+  latency_domain : float;
+      (** Upper bound (sim seconds) of the end-to-end latency histogram
+          domain; resolution adapts so the bucket count stays bounded.
+          The 1000.0 default reproduces the historical fixed domain
+          exactly. *)
+}
+
+val default_stream_config : Qt_cost.Params.t -> stream_config
+(** {!default_config} with [Priority] admission arbitration and
+    concurrency 32, default SLA specs, no shedding, no telemetry. *)
 
 val run_stream :
   ?obs:Qt_obs.Obs.t ->

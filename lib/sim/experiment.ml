@@ -72,14 +72,6 @@ let run_qt_faulty ?config ?rpc ?(faults = Qt_runtime.Fault_plan.none) ~params
         Qt_runtime.Runtime.stats runtime )
   | Error e -> Error e
 
-let run_qt_idp ~params federation q =
-  let config =
-    { (Trader.default_config params) with Trader.mode = Plan_generator.Mode_idp (2, 5) }
-  in
-  match Trader.optimize config federation q with
-  | Ok outcome -> Ok (of_trader "QT-IDP(2,5)" outcome.Trader.stats, outcome)
-  | Error e -> Error e
-
 let run_global_dp ?(staleness = 1.) ~params federation q =
   Result.map
     (fun (r : Common.result) -> of_baseline "Global-DP" r.Common.stats)

@@ -23,14 +23,6 @@ val run_qt :
   Qt_sql.Ast.t ->
   (metrics * Qt_core.Trader.outcome, string) result
 
-val run_qt_idp :
-  params:Qt_cost.Params.t ->
-  Qt_catalog.Federation.t ->
-  Qt_sql.Ast.t ->
-  (metrics * Qt_core.Trader.outcome, string) result
-(** QT with the IDP-M(2,5) buyer plan generator (Section 3.6's scalable
-    variant). *)
-
 val run_qt_faulty :
   ?config:Qt_core.Trader.config ->
   ?rpc:Qt_runtime.Runtime.rpc_config ->

@@ -8,8 +8,6 @@ module Ast = Qt_sql.Ast
 
 type placement = { partitions : int; replicas : int }
 
-let uniform_placement = { partitions = 1; replicas = 1 }
-
 (* Assign fragment copies to nodes: replica [r] of partition [p] lands on a
    node offset so copies of one partition spread across the ring. *)
 let node_of_fragment ~nodes ~replicas p r =

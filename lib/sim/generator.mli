@@ -19,9 +19,6 @@ type placement = {
   replicas : int;  (** Copies of each partition. *)
 }
 
-val uniform_placement : placement
-(** One partition, one replica. *)
-
 val telecom :
   ?customers:int ->
   ?invoice_lines:int ->

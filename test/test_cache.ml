@@ -173,9 +173,9 @@ let test_market_no_hit_neutrality () =
   let on = Market.run (market_config ~qcache:q ()) federation queries in
   Alcotest.(check bool) "same trades, costs and contracts" true
     (trade_summaries off = trade_summaries on);
-  Alcotest.(check (float 1e-9)) "same makespan" off.Market.makespan
-    on.Market.makespan;
-  let qs = Option.get on.Market.qcache in
+  Alcotest.(check (float 1e-9)) "same makespan" off.Market.report.Market.str_makespan
+    on.Market.report.Market.str_makespan;
+  let qs = Option.get on.Market.report.Market.str_qcache in
   Alcotest.(check int) "no statement hits" 0 qs.Tier.stmt.Statement_cache.hits;
   Alcotest.(check int) "no trades avoided" 0 qs.Tier.trades_avoided
 
@@ -205,15 +205,15 @@ let test_market_result_hits_oracle_checked () =
   let _warm = Market.run config federation queries in
   let before = Tier.stats q in
   let s = Market.run config federation queries in
-  Alcotest.(check int) "all complete" 3 s.Market.completed;
-  let qs = Option.get s.Market.qcache in
+  Alcotest.(check int) "all complete" 3 s.Market.report.Market.str_completed;
+  let qs = Option.get s.Market.report.Market.str_qcache in
   Alcotest.(check int) "every trade is a result hit" 3
     (qs.Tier.result.Result_cache.hits - before.Tier.result.Result_cache.hits);
   Alcotest.(check int) "three executions avoided" 3
     (qs.Tier.executions_avoided - before.Tier.executions_avoided);
   Alcotest.(check bool) "discounted revenue settled" true
     (qs.Tier.hit_revenue > before.Tier.hit_revenue);
-  (match s.Market.exec with
+  (match s.Market.report.Market.str_exec with
   | Some e -> Alcotest.(check int) "nothing executed on a full-hit run" 0
       e.Market.tasks_run
   | None -> Alcotest.fail "execution stats expected");
@@ -233,8 +233,8 @@ let test_market_statement_hits () =
   let q = tier () in
   let config = { (market_config ~qcache:q ()) with Market.concurrency = 1 } in
   let s = Market.run config federation queries in
-  Alcotest.(check int) "all complete" 4 s.Market.completed;
-  let qs = Option.get s.Market.qcache in
+  Alcotest.(check int) "all complete" 4 s.Market.report.Market.str_completed;
+  let qs = Option.get s.Market.report.Market.str_qcache in
   Alcotest.(check int) "two statement hits" 2 qs.Tier.stmt.Statement_cache.hits;
   Alcotest.(check int) "two trades avoided" 2 qs.Tier.trades_avoided;
   Alcotest.(check int) "first insert suppressed" 1
@@ -275,12 +275,12 @@ let test_stale_hit_impossible () =
   Alcotest.(check bool) "warm run cached results" true
     (warm_stats.Tier.result_bytes_held > 0);
   let s = Market.run config fed_b queries in
-  let qs = Option.get s.Market.qcache in
+  let qs = Option.get s.Market.report.Market.str_qcache in
   Alcotest.(check bool) "epoch change invalidated the cached answer" true
     (qs.Tier.result.Result_cache.invalidations
     > warm_stats.Tier.result.Result_cache.invalidations);
   (* The second run's answers are all fresh under B's data. *)
-  Alcotest.(check int) "all complete on B" 3 s.Market.completed;
+  Alcotest.(check int) "all complete on B" 3 s.Market.report.Market.str_completed;
   let store =
     Qt_exec.Store.generate ~seed:Market.default_exec.Market.store_seed fed_b
   in
@@ -305,7 +305,7 @@ let test_shared_beats_client_on_repeats () =
     let q = tier ~placement () in
     let config = { (market_config ~qcache:q ()) with Market.concurrency = 1 } in
     let s = Market.run config federation queries in
-    Option.get s.Market.qcache
+    Option.get s.Market.report.Market.str_qcache
   in
   let shared = run Tier.Shared and client = run Tier.Client in
   (* Not necessarily all 7: the require-repeat filter spends the first

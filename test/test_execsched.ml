@@ -39,7 +39,7 @@ let exec_queries n =
       revenue_query ~range:(lo, lo + 199) ())
 
 let exec_stats (s : Market.stats) =
-  match s.Market.exec with
+  match s.Market.report.Market.str_exec with
   | Some e -> e
   | None -> Alcotest.fail "expected exec stats on an executing run"
 
@@ -51,7 +51,7 @@ let tables_identical (a : Table.t) (b : Table.t) =
 let test_parity_with_serial_engine () =
   let federation = exec_federation () in
   let s = Market.run (exec_config ()) federation (exec_queries 4) in
-  Alcotest.(check int) "all trades completed" 4 s.Market.completed;
+  Alcotest.(check int) "all trades completed" 4 s.Market.report.Market.str_completed;
   Alcotest.(check int) "every trade executed" 4
     (List.length s.Market.results);
   let store = Store.generate ~seed:Market.default_exec.Market.store_seed federation in
@@ -76,7 +76,7 @@ let test_determinism () =
   let e = exec_stats a in
   Alcotest.(check bool) "tasks ran" true (e.Market.tasks_run > 0);
   Alcotest.(check bool) "execution extends the timeline" true
-    (a.Market.makespan >= a.Market.trading_makespan)
+    (a.Market.report.Market.str_makespan >= a.Market.trading_makespan)
 
 let test_shared_results () =
   (* Two byte-identical queries: with feedback off both trades buy the
@@ -124,8 +124,10 @@ let test_feedback_steers_execution () =
     Market.run (exec_config ~concurrency:1 ~exec_feedback ()) federation queries
   in
   let static = run false and feedback = run true in
-  Alcotest.(check int) "static: all completed" 4 static.Market.completed;
-  Alcotest.(check int) "feedback: all completed" 4 feedback.Market.completed;
+  Alcotest.(check int) "static: all completed" 4
+    static.Market.report.Market.str_completed;
+  Alcotest.(check int) "feedback: all completed" 4
+    feedback.Market.report.Market.str_completed;
   let sellers_of (s : Market.stats) =
     List.map
       (fun (t : Market.trade_stats) ->
@@ -149,30 +151,17 @@ let test_feedback_steers_execution () =
     true
     (em feedback < em static)
 
-let test_run_concurrent_execute () =
-  let config = Qt_sim.Workload_sim.default_config params in
-  let r, s =
-    Qt_sim.Workload_sim.run_concurrent
-      ~admission:
-        {
-          Admission.default_config with
-          Admission.slots = 8;
-          queue_limit = 8;
-          load_per_contract = 0.;
-        }
-      ~execute:Market.default_exec config (exec_federation ()) (exec_queries 3)
-  in
-  Alcotest.(check int) "no failures" 0 r.Qt_sim.Workload_sim.failures;
-  Alcotest.(check bool) "exec makespan reported" true
-    (r.Qt_sim.Workload_sim.exec_makespan > 0.);
+let test_run_three_makespans () =
+  let s = Market.run (exec_config ()) (exec_federation ()) (exec_queries 3) in
+  let r = s.Market.report in
+  Alcotest.(check int) "no failures" 0 r.Market.str_failed;
+  Alcotest.(check int) "every trade completed" 3 r.Market.str_completed;
+  let e = exec_stats s in
+  Alcotest.(check bool) "exec makespan reported" true (e.Market.exec_makespan > 0.);
   Alcotest.(check (float 1e-9))
-    "total = max(trading, exec)"
-    (Float.max r.Qt_sim.Workload_sim.trading_makespan
-       r.Qt_sim.Workload_sim.exec_makespan)
-    r.Qt_sim.Workload_sim.total_makespan;
-  Alcotest.(check (float 1e-9))
-    "market stats agree" s.Market.trading_makespan
-    r.Qt_sim.Workload_sim.trading_makespan
+    "makespan = max(trading, exec)"
+    (Float.max s.Market.trading_makespan e.Market.exec_makespan)
+    r.Market.str_makespan
 
 let test_exec_spans_on_sim_clock () =
   let obs = Qt_obs.Obs.create () in
@@ -191,7 +180,8 @@ let test_exec_spans_on_sim_clock () =
   List.iter
     (fun (sp : Qt_obs.Obs.span) ->
       Alcotest.(check bool) "span within the run" true
-        (sp.Qt_obs.Obs.t0 >= 0. && sp.Qt_obs.Obs.t1 <= s.Market.makespan +. 1e-9))
+        (sp.Qt_obs.Obs.t0 >= 0.
+        && sp.Qt_obs.Obs.t1 <= s.Market.report.Market.str_makespan +. 1e-9))
     exec_spans
 
 let suite =
@@ -202,6 +192,6 @@ let suite =
       quick "identical remote purchases execute once" test_shared_results;
       quick "measured-load feedback steers trades to replicas"
         test_feedback_steers_execution;
-      quick "run_concurrent reports three makespans" test_run_concurrent_execute;
+      quick "Market.run reports three makespans" test_run_three_makespans;
       quick "exec spans carry sim timestamps" test_exec_spans_on_sim_clock;
     ] )

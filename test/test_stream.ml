@@ -274,6 +274,78 @@ let test_stream_shedding_sheds () =
   Alcotest.(check bool) "but not everything" true
     (s.Market.str_completed > 0)
 
+(* Admission clamps a 0-slot seller to one slot, and shedding, surge
+   pricing and the scrape gauges all read that clamped occupancy, so a
+   [slots = 0] stream runs exactly like [slots = 1]. *)
+let test_stream_zero_slots_clamped () =
+  let federation = stream_federation () in
+  let templates = stream_templates () in
+  let arrivals =
+    Arrivals.generate ~seed:13
+      ~process:(Arrivals.Poisson { rate = 2. })
+      ~horizon:(Arrivals.Count 60) ~templates:(Array.length templates)
+      ~theta:0.9 ~mix:Sla.default_mix
+  in
+  let render ~slots ~queue =
+    let c = scfg ~slots ~queue ~shedding:(Shedding.Occupancy 0.9) () in
+    let c =
+      {
+        c with
+        Market.base =
+          {
+            c.Market.base with
+            Market.pricing =
+              Some
+                {
+                  Qt_pricing.Pricing.default_config with
+                  Qt_pricing.Pricing.mix =
+                    Qt_pricing.Pricing.uniform_mix Qt_pricing.Pricing.Surge;
+                };
+          };
+        telemetry = Some Market.default_telemetry;
+      }
+    in
+    let s = Market.run_stream c federation ~templates arrivals in
+    Market.stream_to_json s
+    ^ Market.telemetry_jsonl (Option.get s.Market.str_telemetry)
+  in
+  List.iter
+    (fun queue ->
+      Alcotest.(check string)
+        (Printf.sprintf "queue %d: slots 0 runs as slots 1" queue)
+        (render ~slots:1 ~queue) (render ~slots:0 ~queue))
+    [ 0; 4 ]
+
+(* A batch is the degenerate stream: the same queries arriving at t=0
+   with no deadline and priority 0 produce the same report, apart from
+   the per-class breakdown (batch trades carry no SLA class). *)
+let test_batch_is_degenerate_stream () =
+  let federation = stream_federation () in
+  let templates = stream_templates () in
+  let cfg = (scfg ()).Market.base in
+  let batch = Market.run cfg federation (Array.to_list templates) in
+  let arrivals =
+    List.init (Array.length templates) (fun i ->
+        { Arrivals.at = 0.; template = i; klass = Sla.Interactive })
+  in
+  let stream =
+    Market.run_stream
+      {
+        Market.base = cfg;
+        spec_of =
+          (fun klass -> { Sla.klass; deadline = infinity; priority = 0 });
+        shedding = Shedding.Keep_all;
+        telemetry = None;
+        latency_domain = 1000.;
+      }
+      federation ~templates arrivals
+  in
+  Alcotest.(check bool) "some trade completed" true
+    (stream.Market.str_completed > 0);
+  Alcotest.(check bool) "equal reports apart from str_classes" true
+    ({ batch.Market.report with Market.str_classes = [] }
+    = { stream with Market.str_classes = [] })
+
 let test_stream_empty_pool_rejected () =
   let federation = stream_federation () in
   Alcotest.check_raises "empty template pool rejected"
@@ -323,7 +395,7 @@ let test_conservation_overload () =
            if i mod 3 = 0 then revenue_query ()
            else revenue_query ~range:(i mod 2 * 200, (i mod 2 * 200) + 199) ()))
   in
-  check_conservation "run" batch.Market.sellers;
+  check_conservation "run" batch.Market.report.Market.str_sellers;
   (* Deadlines short enough to cancel contracts still waiting in the
      1-slot sellers' queues. *)
   let spec_of k = { (Sla.default_spec k) with Sla.deadline = 0.2 } in
@@ -398,6 +470,9 @@ let suite =
       quick "run_stream: occupancy shedding sheds under overload"
         test_stream_shedding_sheds;
       quick "run_stream: empty template pool rejected" test_stream_empty_pool_rejected;
+      quick "run_stream: slots 0 runs as slots 1" test_stream_zero_slots_clamped;
+      quick "run and run_stream: a batch is a degenerate stream"
+        test_batch_is_degenerate_stream;
       quick "run and run_stream: per-seller contract conservation under overload"
         test_conservation_overload;
       quick "admission: stale completion after cancel is dropped"
