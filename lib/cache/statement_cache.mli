@@ -10,9 +10,9 @@
     uninvolved node does not invalidate it (unlike the result cache,
     which keys on the federation-wide epoch).
 
-    Capacity-bounded with a deterministic tick-based LRU; all counters
-    live in a {!Qt_obs.Metrics} registry under [<prefix>.hits/.misses/
-    .invalidations/.evictions/.suppressed].
+    Capacity-bounded by a {!Qt_util.Lru}: exact least-recently-used
+    eviction by unique tick, with the table's own hit, miss,
+    invalidation and eviction counts.
 
     With [require_repeat] the cache admits a signature only on its
     second insertion attempt within one LRU horizon: first sightings go
@@ -30,19 +30,11 @@ type entry = {
           and revenue settlement need. *)
   sources : (int * int) list;
       (** (node id, {!Qt_catalog.Node.fingerprint}) at insertion time. *)
-  mutable used : int;  (** LRU tick; managed by the cache. *)
 }
 
-val create :
-  ?metrics:Qt_obs.Metrics.t ->
-  ?prefix:string ->
-  ?require_repeat:bool ->
-  max_entries:int ->
-  unit ->
-  t
-(** Caches sharing a registry and prefix share counters (the tier uses
-    this to aggregate per-client instances).  [require_repeat] (default
-    [false]) enables the second-occurrence admission filter.
+val create : ?require_repeat:bool -> max_entries:int -> unit -> t
+(** [require_repeat] (default [false]) enables the second-occurrence
+    admission filter.
     @raise Invalid_argument if [max_entries < 1]. *)
 
 val insert :
@@ -60,15 +52,17 @@ val find :
     fingerprint; a mismatch drops the entry (counted as invalidation +
     miss).  A hit refreshes the entry's LRU tick. *)
 
-type stats = {
+type stats = Qt_util.Lru.stats = {
   hits : int;
   misses : int;
   invalidations : int;
   evictions : int;
-  suppressed : int;
-      (** Insert attempts deferred by the [require_repeat] admission
-          filter (first sightings sent to the ghost list). *)
 }
 
 val stats : t -> stats
+
+val suppressed : t -> int
+(** Insert attempts deferred by the [require_repeat] admission filter
+    (first sightings sent to the ghost list). *)
+
 val length : t -> int

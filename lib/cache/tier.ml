@@ -1,5 +1,5 @@
-module Metrics = Qt_obs.Metrics
 module Federation = Qt_catalog.Federation
+module Lru = Qt_util.Lru
 
 type placement = Client | Shared
 
@@ -35,46 +35,45 @@ type instance = {
 
 type t = {
   cfg : config;
-  metrics : Metrics.t;
   instances : instance array;  (* one cell for Shared, [clients] for Client *)
   revenue : (int, float ref) Hashtbl.t;
-  c_trades_avoided : Metrics.counter;
-  c_execs_avoided : Metrics.counter;
+  mutable trades_avoided : int;
+  mutable executions_avoided : int;
 }
 
 let create cfg =
-  if cfg.clients < 1 then invalid_arg "Tier.create: clients must be at least 1";
+  let n =
+    match cfg.placement with
+    | Shared -> 1
+    | Client ->
+      if cfg.clients < 1 then
+        invalid_arg "Tier.create: clients must be at least 1";
+      cfg.clients
+  in
   if cfg.hit_price_fraction < 0. || cfg.hit_price_fraction > 1. then
     invalid_arg "Tier.create: hit_price_fraction must be in [0, 1]";
   if cfg.lookup_latency < 0. then
     invalid_arg "Tier.create: lookup_latency must be non-negative";
-  let metrics = Metrics.create () in
-  let n = match cfg.placement with Shared -> 1 | Client -> cfg.clients in
-  (* All instances register against the same counters, so the tier's
-     hit/miss/invalidation/eviction numbers aggregate across clients. *)
   let instances =
     Array.init n (fun _ ->
         {
           stmt =
-            Statement_cache.create ~metrics ~prefix:"qcache.stmt"
-              ~require_repeat:cfg.stmt_require_repeat
+            Statement_cache.create ~require_repeat:cfg.stmt_require_repeat
               ~max_entries:cfg.statement_entries ();
           result =
-            Result_cache.create ~metrics ~prefix:"qcache.result"
-              ~max_entries:cfg.result_entries ~max_bytes:cfg.result_bytes ();
+            Result_cache.create ~max_entries:cfg.result_entries
+              ~max_bytes:cfg.result_bytes ();
         })
   in
   {
     cfg;
-    metrics;
     instances;
     revenue = Hashtbl.create 16;
-    c_trades_avoided = Metrics.counter metrics "qcache.trades_avoided";
-    c_execs_avoided = Metrics.counter metrics "qcache.executions_avoided";
+    trades_avoided = 0;
+    executions_avoided = 0;
   }
 
 let config t = t.cfg
-let metrics t = t.metrics
 
 let instance t ~client =
   match t.cfg.placement with
@@ -83,8 +82,8 @@ let instance t ~client =
     if client < 0 then invalid_arg "Tier.instance: negative client";
     t.instances.(client mod t.cfg.clients)
 
-let note_trade_avoided t = Metrics.incr t.c_trades_avoided
-let note_execution_avoided t = Metrics.incr t.c_execs_avoided
+let note_trade_avoided t = t.trades_avoided <- t.trades_avoided + 1
+let note_execution_avoided t = t.executions_avoided <- t.executions_avoided + 1
 
 let credit t ~seller amount =
   match Hashtbl.find_opt t.revenue seller with
@@ -98,13 +97,10 @@ let revenue t =
 let revenue_total t =
   Hashtbl.fold (fun _ r acc -> acc +. !r) t.revenue 0.
 
-let bytes_held t =
-  Array.fold_left (fun acc i -> acc + Result_cache.bytes_held i.result) 0
-    t.instances
-
 type stats = {
   placement : string;
   stmt : Statement_cache.stats;
+  stmt_suppressed : int;
   result : Result_cache.stats;
   trades_avoided : int;
   executions_avoided : int;
@@ -113,16 +109,22 @@ type stats = {
   result_bytes_held : int;
 }
 
+(* Each client instance keeps its own counts; the tier reports their sum. *)
 let stats t =
+  let counts f =
+    Array.fold_left (fun acc i -> Lru.add_stats acc (f i)) Lru.empty_stats
+      t.instances
+  and total f = Array.fold_left (fun acc i -> acc + f i) 0 t.instances in
   {
     placement = placement_name t.cfg.placement;
-    stmt = Statement_cache.stats t.instances.(0).stmt;
-    result = Result_cache.stats t.instances.(0).result;
-    trades_avoided = Metrics.value t.c_trades_avoided;
-    executions_avoided = Metrics.value t.c_execs_avoided;
+    stmt = counts (fun i -> Statement_cache.stats i.stmt);
+    stmt_suppressed = total (fun i -> Statement_cache.suppressed i.stmt);
+    result = counts (fun i -> Result_cache.stats i.result);
+    trades_avoided = t.trades_avoided;
+    executions_avoided = t.executions_avoided;
     hit_revenue = revenue_total t;
     hit_revenue_by_seller = revenue t;
-    result_bytes_held = bytes_held t;
+    result_bytes_held = total (fun i -> Result_cache.bytes_held i.result);
   }
 
 let fingerprint_of federation node = Federation.fingerprint federation node

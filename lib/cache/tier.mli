@@ -1,5 +1,5 @@
 (** The federation cache tier: statement + result caches behind one
-    placement policy, one metrics registry and one revenue ledger.
+    placement policy and one revenue ledger.
 
     Two placements (the experiment of R-cache):
 
@@ -20,9 +20,6 @@
     argument of Roy et al.). *)
 
 type placement = Client | Shared
-
-val placement_name : placement -> string
-(** ["client"] / ["shared"] — the JSON spelling. *)
 
 type config = {
   placement : placement;
@@ -50,14 +47,11 @@ type instance = { stmt : Statement_cache.t; result : Result_cache.t }
 type t
 
 val create : config -> t
-(** @raise Invalid_argument on non-positive [clients], a
-    [hit_price_fraction] outside [0, 1] or negative [lookup_latency]. *)
+(** @raise Invalid_argument on non-positive [clients] under Client
+    placement, a [hit_price_fraction] outside [0, 1] or negative
+    [lookup_latency]. *)
 
 val config : t -> config
-
-val metrics : t -> Qt_obs.Metrics.t
-(** The registry holding every cache counter — all instances of a Client
-    tier share it, so its numbers aggregate across clients. *)
 
 val instance : t -> client:int -> instance
 (** The cache pair trade [client] talks to: the single shared pair, or
@@ -72,12 +66,10 @@ val credit : t -> seller:int -> float -> unit
 val revenue : t -> (int * float) list
 (** Per-seller hit revenue, sorted by node id. *)
 
-val revenue_total : t -> float
-val bytes_held : t -> int
-
 type stats = {
-  placement : string;
+  placement : string;  (** ["client"] / ["shared"] — the JSON spelling. *)
   stmt : Statement_cache.stats;
+  stmt_suppressed : int;  (** {!Statement_cache.suppressed}. *)
   result : Result_cache.stats;
   trades_avoided : int;
   executions_avoided : int;
@@ -87,6 +79,8 @@ type stats = {
 }
 
 val stats : t -> stats
+(** Counts summed over every instance (one for Shared, [clients] for
+    Client). *)
 
 val fingerprint_of : Qt_catalog.Federation.t -> int -> int
 (** Per-node validity token for the statement cache

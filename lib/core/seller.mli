@@ -78,13 +78,12 @@ type cache
     subcontracting is enabled bypass the cache entirely (their offers
     depend on the live market, which the key cannot capture).
 
-    Capacity is bounded: at [max_entries] the least-recently-used entry
-    is evicted, so long workload streams with many distinct signatures
-    cannot grow the cache without bound.  Every use gets a distinct
-    logical tick, which makes the eviction victim — and therefore whole
-    runs — deterministic. *)
+    Capacity is bounded by a {!Qt_util.Lru}: at [max_entries] the
+    least-recently-used entry is evicted, so long workload streams with
+    many distinct signatures cannot grow the cache without bound, and
+    the unique-tick victim keeps whole runs deterministic. *)
 
-type cache_stats = {
+type cache_stats = Qt_util.Lru.stats = {
   hits : int;
   misses : int;
   invalidations : int;
@@ -95,16 +94,14 @@ val cache_create : ?max_entries:int -> unit -> cache
 (** [max_entries] defaults to a generous 4096 per node. *)
 
 val cache_stats : cache -> cache_stats
-(** A view over the cache's metrics registry ([cache.hits],
-    [cache.misses], [cache.invalidations], [cache.evictions]). *)
 
 type cache_pool
 (** One cache per seller node, created on demand — what a trading session
     (or a whole workload run) threads through so repeated trades share
     priced bids. *)
 
-val pool_create : ?max_entries:int -> unit -> cache_pool
-(** Per-node caches created by this pool carry the given LRU capacity. *)
+val pool_create : unit -> cache_pool
+(** Per-node caches created by this pool carry the default capacity. *)
 
 val pool_cache : cache_pool -> int -> cache
 (** The cache for the given node id, created on first use. *)

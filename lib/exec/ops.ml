@@ -184,6 +184,7 @@ let project table items =
   in
   Table.project table out
 
+(* Column naming rule shared by every producer of aggregate outputs. *)
 let agg_output_col item =
   match item with
   | Ast.Sel_col a -> { Table.alias = a.Ast.rel; name = a.Ast.name }

@@ -47,41 +47,35 @@ type t = {
   mutable seq : int;
   (* Work admitted per trade, for proportional share. *)
   served : (int, float) Hashtbl.t;
-  (* Counters live in a metrics registry; [stats] below is a view. *)
-  m : Metrics.t;
-  c_admitted : Metrics.counter;
-  c_accepted : Metrics.counter;
-  c_rejected : Metrics.counter;
-  c_completed : Metrics.counter;
-  c_canceled : Metrics.counter;
-  g_peak_queue : Metrics.gauge;
-  g_peak_active : Metrics.gauge;
-  g_busy : Metrics.gauge;
+  mutable admitted : int;
+  mutable accepted : int;
+  mutable rejected : int;
+  mutable completed : int;
+  mutable canceled : int;
+  mutable peak_queue : int;
+  mutable peak_active : int;
+  mutable busy : float;
   waits : Metrics.histo option;
       (* Shared queue-wait histogram, observed at service start. *)
 }
 
 let create ?waits cfg =
-  let m = Metrics.create () in
   {
     cfg = { cfg with slots = max 1 cfg.slots; queue_limit = max 0 cfg.queue_limit };
     active = [];
     queued = [];
     seq = 0;
     served = Hashtbl.create 16;
-    m;
-    c_admitted = Metrics.counter m "admission.admitted";
-    c_accepted = Metrics.counter m "admission.accepted";
-    c_rejected = Metrics.counter m "admission.rejected";
-    c_completed = Metrics.counter m "admission.completed";
-    c_canceled = Metrics.counter m "admission.canceled";
-    g_peak_queue = Metrics.gauge m "admission.peak_queue";
-    g_peak_active = Metrics.gauge m "admission.peak_active";
-    g_busy = Metrics.gauge m "admission.busy";
+    admitted = 0;
+    accepted = 0;
+    rejected = 0;
+    completed = 0;
+    canceled = 0;
+    peak_queue = 0;
+    peak_active = 0;
+    busy = 0.;
     waits;
   }
-
-let metrics t = t.m
 
 let slots t = t.cfg.slots
 let in_service t = List.length t.active
@@ -104,8 +98,8 @@ let served_of t trade =
   match Hashtbl.find_opt t.served trade with Some w -> w | None -> 0.
 
 let note_peaks t =
-  Metrics.peak t.g_peak_queue (float_of_int (queue_depth t));
-  Metrics.peak t.g_peak_active (float_of_int (in_service t))
+  t.peak_queue <- max t.peak_queue (queue_depth t);
+  t.peak_active <- max t.peak_active (in_service t)
 
 let started_at h = h.h_started
 
@@ -115,7 +109,7 @@ let start t ~now h =
   | Some w -> Metrics.observe w (Float.max 0. (now -. h.h_submitted))
   | None -> ());
   t.active <- h :: t.active;
-  Metrics.incr t.c_admitted;
+  t.admitted <- t.admitted + 1;
   Hashtbl.replace t.served h.h_trade (served_of t h.h_trade +. h.h_work);
   note_peaks t
 
@@ -171,25 +165,25 @@ let submit ?(reserved = false) t ~now ~trade ~work ~priority =
   in
   t.seq <- t.seq + 1;
   if in_service t < t.cfg.slots then (
-    Metrics.incr t.c_accepted;
+    t.accepted <- t.accepted + 1;
     start t ~now h;
     Started h)
   else if queue_depth t < t.cfg.queue_limit then (
-    Metrics.incr t.c_accepted;
+    t.accepted <- t.accepted + 1;
     t.queued <- h :: t.queued;
     note_peaks t;
     Enqueued h)
   else (
-    Metrics.incr t.c_rejected;
+    t.rejected <- t.rejected + 1;
     Rejected)
 
 let retire t ~now h =
   t.active <- List.filter (fun a -> a.h_seq <> h.h_seq) t.active;
-  Metrics.add t.g_busy (max 0. (now -. h.h_started))
+  t.busy <- t.busy +. max 0. (now -. h.h_started)
 
 let finish t ~now h =
   retire t ~now h;
-  Metrics.incr t.c_completed;
+  t.completed <- t.completed + 1;
   promote t ~now
 
 let cancel t ~now ~trade =
@@ -202,17 +196,17 @@ let cancel t ~now ~trade =
       (* A canceled contract never ran to completion: give its share back. *)
       Hashtbl.replace t.served trade (max 0. (served_of t trade -. h.h_work)))
     running;
-  Metrics.incr ~by:(List.length mine + List.length running) t.c_canceled;
+  t.canceled <- t.canceled + List.length mine + List.length running;
   promote t ~now
 
-let stats t =
+let stats (t : t) : stats =
   {
-    admitted = Metrics.value t.c_admitted;
-    accepted = Metrics.value t.c_accepted;
-    rejected = Metrics.value t.c_rejected;
-    completed = Metrics.value t.c_completed;
-    canceled = Metrics.value t.c_canceled;
-    peak_queue = int_of_float (Metrics.gauge_value t.g_peak_queue);
-    peak_active = int_of_float (Metrics.gauge_value t.g_peak_active);
-    busy = Metrics.gauge_value t.g_busy;
+    admitted = t.admitted;
+    accepted = t.accepted;
+    rejected = t.rejected;
+    completed = t.completed;
+    canceled = t.canceled;
+    peak_queue = t.peak_queue;
+    peak_active = t.peak_active;
+    busy = t.busy;
   }

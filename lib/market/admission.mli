@@ -122,8 +122,3 @@ type stats = {
 }
 
 val stats : t -> stats
-(** A view over the controller's metrics registry (see {!metrics}). *)
-
-val metrics : t -> Qt_obs.Metrics.t
-(** The registry holding the controller's counters and gauges
-    ([admission.admitted], [admission.peak_queue], …). *)

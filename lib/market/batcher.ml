@@ -24,34 +24,26 @@ type stats = {
   batching : bool;
 }
 
-module Metrics = Qt_obs.Metrics
-
-(* Counters live in a metrics registry; [stats] below is a view. *)
 type t = {
   batching : bool;
-  m : Metrics.t;
-  c_waves : Metrics.counter;
-  c_sent_messages : Metrics.counter;
-  c_sent_bytes : Metrics.counter;
-  c_unbatched_messages : Metrics.counter;
-  c_unbatched_bytes : Metrics.counter;
-  c_dups : Metrics.counter;
+  mutable waves : int;
+  mutable sent_messages : int;
+  mutable sent_bytes : int;
+  mutable unbatched_messages : int;
+  mutable unbatched_bytes : int;
+  mutable dups : int;
 }
 
 let create ~batching =
-  let m = Metrics.create () in
   {
     batching;
-    m;
-    c_waves = Metrics.counter m "batcher.waves";
-    c_sent_messages = Metrics.counter m "batcher.sent_messages";
-    c_sent_bytes = Metrics.counter m "batcher.sent_bytes";
-    c_unbatched_messages = Metrics.counter m "batcher.unbatched_messages";
-    c_unbatched_bytes = Metrics.counter m "batcher.unbatched_bytes";
-    c_dups = Metrics.counter m "batcher.dup_signatures_merged";
+    waves = 0;
+    sent_messages = 0;
+    sent_bytes = 0;
+    unbatched_messages = 0;
+    unbatched_bytes = 0;
+    dups = 0;
   }
-
-let metrics t = t.m
 
 (* Envelope framing overhead, mirroring the per-request header the trader
    charges: an unbatched message is [bytes] (headers included); a merged
@@ -77,16 +69,16 @@ let envelope_for t seller requests =
             bytes := !bytes + sz))
         r.signatures)
     mine;
-  Metrics.incr ~by:!dups t.c_dups;
+  t.dups <- t.dups + !dups;
   { seller; trades; env_signatures = List.rev !signatures; env_bytes = !bytes }
 
 let coalesce t requests =
-  Metrics.incr t.c_waves;
+  t.waves <- t.waves + 1;
   List.iter
     (fun r ->
       let n = List.length r.targets in
-      Metrics.incr ~by:n t.c_unbatched_messages;
-      Metrics.incr ~by:(n * r.bytes) t.c_unbatched_bytes)
+      t.unbatched_messages <- t.unbatched_messages + n;
+      t.unbatched_bytes <- t.unbatched_bytes + (n * r.bytes))
     requests;
   let envelopes =
     if t.batching then
@@ -105,21 +97,20 @@ let coalesce t requests =
   in
   List.iter
     (fun e ->
-      Metrics.incr t.c_sent_messages;
-      Metrics.incr ~by:e.env_bytes t.c_sent_bytes)
+      t.sent_messages <- t.sent_messages + 1;
+      t.sent_bytes <- t.sent_bytes + e.env_bytes)
     envelopes;
   envelopes
 
-let stats t =
-  let v = Metrics.value in
+let stats (t : t) : stats =
   {
-    waves = v t.c_waves;
-    sent_messages = v t.c_sent_messages;
-    sent_bytes = v t.c_sent_bytes;
-    unbatched_messages = v t.c_unbatched_messages;
-    unbatched_bytes = v t.c_unbatched_bytes;
-    messages_saved = v t.c_unbatched_messages - v t.c_sent_messages;
-    bytes_saved = v t.c_unbatched_bytes - v t.c_sent_bytes;
-    dup_signatures_merged = v t.c_dups;
+    waves = t.waves;
+    sent_messages = t.sent_messages;
+    sent_bytes = t.sent_bytes;
+    unbatched_messages = t.unbatched_messages;
+    unbatched_bytes = t.unbatched_bytes;
+    messages_saved = t.unbatched_messages - t.sent_messages;
+    bytes_saved = t.unbatched_bytes - t.sent_bytes;
+    dup_signatures_merged = t.dups;
     batching = t.batching;
   }

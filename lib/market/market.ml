@@ -1933,29 +1933,22 @@ let batcher_json (bt : Batcher.stats) =
     bt.Batcher.unbatched_bytes bt.Batcher.messages_saved bt.Batcher.bytes_saved
     bt.Batcher.dup_signatures_merged
 
-let counts_json hits misses invalidations evictions =
+(* One cache's counts; [more] holds any extra fields, already
+   comma-led. *)
+let counts_json ?(more = "") (c : Qt_util.Lru.stats) =
   Printf.sprintf
-    "{\"hits\":%d,\"misses\":%d,\"invalidations\":%d,\"evictions\":%d}" hits
-    misses invalidations evictions
-
-let cache_json (c : Seller.cache_stats) =
-  counts_json c.Seller.hits c.Seller.misses c.Seller.invalidations
-    c.Seller.evictions
+    "{\"hits\":%d,\"misses\":%d,\"invalidations\":%d,\"evictions\":%d%s}"
+    c.hits c.misses c.invalidations c.evictions more
 
 (* Rendered only when the tier is configured, so cache-off output stays
    byte-identical to a build without the cache tier. *)
 let qcache_json (q : Tier.stats) =
-  let s = q.Tier.stmt and r = q.Tier.result in
   Printf.sprintf
     "{\"placement\":%S,\"stmt\":%s,\"result\":%s,\"trades_avoided\":%d,\"executions_avoided\":%d,\"hit_revenue\":%s,\"revenue_by_seller\":[%s],\"result_bytes\":%d}"
     q.Tier.placement
-    (Printf.sprintf
-       "{\"hits\":%d,\"misses\":%d,\"invalidations\":%d,\"evictions\":%d,\"suppressed\":%d}"
-       s.Statement_cache.hits s.Statement_cache.misses
-       s.Statement_cache.invalidations s.Statement_cache.evictions
-       s.Statement_cache.suppressed)
-    (counts_json r.Result_cache.hits r.Result_cache.misses
-       r.Result_cache.invalidations r.Result_cache.evictions)
+    (counts_json q.Tier.stmt
+       ~more:(Printf.sprintf ",\"suppressed\":%d" q.Tier.stmt_suppressed))
+    (counts_json q.Tier.result)
     q.Tier.trades_avoided q.Tier.executions_avoided (jf q.Tier.hit_revenue)
     (String.concat ","
        (List.map
@@ -2006,7 +1999,7 @@ let add_market_json b (r : stream_stats) =
   Buffer.add_string b ",\"sellers\":";
   add_list b (fun x -> Buffer.add_string b (seller_json x)) r.str_sellers;
   Buffer.add_string b (",\"batcher\":" ^ batcher_json r.str_batcher);
-  Buffer.add_string b (",\"cache\":" ^ cache_json r.str_cache)
+  Buffer.add_string b (",\"cache\":" ^ counts_json r.str_cache)
 
 (* ,"makespan":..,"wire_messages":..,"wire_bytes":..,"offer_rtt":{..},"queue_wait":{..} *)
 let add_wire_json b (r : stream_stats) =
@@ -2173,6 +2166,12 @@ let telemetry_jsonl (t : telemetry_stats) =
 let metrics_c m name v = Metrics.incr ~by:v (Metrics.counter m name)
 let metrics_g m name v = Metrics.set (Metrics.gauge m name) v
 
+let metrics_counts m prefix (c : Qt_util.Lru.stats) =
+  metrics_c m (prefix ^ ".hits") c.hits;
+  metrics_c m (prefix ^ ".misses") c.misses;
+  metrics_c m (prefix ^ ".invalidations") c.invalidations;
+  metrics_c m (prefix ^ ".evictions") c.evictions
+
 let metrics_lat m name (l : latency_summary) =
   metrics_c m (name ^ ".count") l.l_count;
   metrics_g m (name ^ ".p50") l.l_p50;
@@ -2198,17 +2197,9 @@ let metrics_exec m = function
 let metrics_qcache m = function
   | None -> ()
   | Some (q : Tier.stats) ->
-    metrics_c m "qcache.stmt.hits" q.Tier.stmt.Statement_cache.hits;
-    metrics_c m "qcache.stmt.misses" q.Tier.stmt.Statement_cache.misses;
-    metrics_c m "qcache.stmt.invalidations"
-      q.Tier.stmt.Statement_cache.invalidations;
-    metrics_c m "qcache.stmt.evictions" q.Tier.stmt.Statement_cache.evictions;
-    metrics_c m "qcache.stmt.suppressed" q.Tier.stmt.Statement_cache.suppressed;
-    metrics_c m "qcache.result.hits" q.Tier.result.Result_cache.hits;
-    metrics_c m "qcache.result.misses" q.Tier.result.Result_cache.misses;
-    metrics_c m "qcache.result.invalidations"
-      q.Tier.result.Result_cache.invalidations;
-    metrics_c m "qcache.result.evictions" q.Tier.result.Result_cache.evictions;
+    metrics_counts m "qcache.stmt" q.Tier.stmt;
+    metrics_c m "qcache.stmt.suppressed" q.Tier.stmt_suppressed;
+    metrics_counts m "qcache.result" q.Tier.result;
     metrics_c m "qcache.trades_avoided" q.Tier.trades_avoided;
     metrics_c m "qcache.executions_avoided" q.Tier.executions_avoided;
     metrics_c m "qcache.result_bytes" q.Tier.result_bytes_held;
@@ -2248,11 +2239,7 @@ let metrics_report m (r : stream_stats) =
   c "batcher.messages_saved" bt.Batcher.messages_saved;
   c "batcher.bytes_saved" bt.Batcher.bytes_saved;
   c "batcher.dup_signatures_merged" bt.Batcher.dup_signatures_merged;
-  let ca = r.str_cache in
-  c "cache.hits" ca.Seller.hits;
-  c "cache.misses" ca.Seller.misses;
-  c "cache.invalidations" ca.Seller.invalidations;
-  c "cache.evictions" ca.Seller.evictions;
+  metrics_counts m "cache" r.str_cache;
   List.iter
     (fun (x : seller_stats) ->
       let p = Printf.sprintf "seller.%d." x.seller in

@@ -1,10 +1,10 @@
 (** A minimal metrics registry: counters, gauges and sim-time histograms
     behind one deterministic [to_json].
 
-    The registry replaces the bespoke stat records that used to live in
-    the seller bid cache, the RFB batcher and the admission controller:
-    those components now register their counters here and keep their old
-    [stats] accessors as thin views.  Handles are plain mutable records,
+    Components keep plain counters of their own, and the market's run
+    report is the one source of every number.  A registry is only the
+    flat renderer of that report ([--metrics]) and the live scrape
+    target of the telemetry layer.  Handles are plain mutable records,
     so the hot path pays one memory write per update — no hashtable
     lookup, no allocation.
 

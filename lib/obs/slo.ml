@@ -22,14 +22,6 @@ let default_fast = 5
 let default_slow = 30
 let default_factor = 6.
 
-let metric_to_string = function
-  | P50 -> "p50"
-  | P95 -> "p95"
-  | P99 -> "p99"
-  | Goodput -> "goodput"
-  | Occupancy -> "occupancy"
-  | Cache_hit -> "cache_hit"
-
 let metric_of_string = function
   | "p50" -> Some P50
   | "p95" -> Some P95

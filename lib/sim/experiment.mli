@@ -13,9 +13,6 @@ type metrics = {
   wall_ms : float;  (** Real CPU time of the optimizer run. *)
 }
 
-val of_trader : string -> Qt_core.Trader.stats -> metrics
-val of_baseline : string -> Qt_baseline.Common.stats -> metrics
-
 val run_qt :
   ?config:Qt_core.Trader.config ->
   params:Qt_cost.Params.t ->
@@ -36,27 +33,6 @@ val run_qt_faulty :
     timeout/retry and the given fault plan.  Deterministic for a fixed
     [(faults, seed)] pair.  The extra {!Qt_runtime.Runtime.stats} expose
     drops, retries, gave-up RPCs and fired crashes. *)
-
-val run_global_dp :
-  ?staleness:float ->
-  params:Qt_cost.Params.t ->
-  Qt_catalog.Federation.t ->
-  Qt_sql.Ast.t ->
-  (metrics, string) result
-
-val run_idp :
-  ?staleness:float ->
-  params:Qt_cost.Params.t ->
-  Qt_catalog.Federation.t ->
-  Qt_sql.Ast.t ->
-  (metrics, string) result
-
-val run_two_step :
-  ?staleness:float ->
-  params:Qt_cost.Params.t ->
-  Qt_catalog.Federation.t ->
-  Qt_sql.Ast.t ->
-  (metrics, string) result
 
 val compare_all :
   ?staleness:float ->

@@ -140,7 +140,7 @@ let random_chain_queries ~seed ~count ~relations ~max_joins =
 (* TPC-H flavour                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let tpch_date_days = 2555
+let tpch_date_days = Generator.tpch_date_days
 let tpch_order_domain = 6000
 
 (* Q1 flavour: pricing summary over a shipdate slice of lineitem. *)

@@ -13,19 +13,11 @@ val aliases : Ast.t -> string list
 val relation_of_alias : Ast.t -> string -> string option
 
 val attrs_of_predicate : Ast.predicate -> Ast.attr list
-val attrs_of_select_item : Ast.select_item -> Ast.attr list
-
 val predicate_aliases : Ast.predicate -> string list
 (** Aliases a predicate mentions (deduplicated). *)
 
-val is_join_predicate : Ast.predicate -> bool
-(** True when the predicate relates two distinct aliases. *)
-
 val join_predicates : Ast.t -> Ast.predicate list
 val selection_predicates : Ast.t -> Ast.predicate list
-
-val predicates_over : Ast.t -> string list -> Ast.predicate list
-(** WHERE conjuncts mentioning only the given aliases. *)
 
 val has_aggregate : Ast.t -> bool
 

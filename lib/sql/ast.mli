@@ -78,7 +78,6 @@ val eq_const : attr -> literal -> predicate
     Structural; all list orders are significant here — use
     {!Analysis.normalize} before comparing queries for semantic identity. *)
 
-val compare_literal : literal -> literal -> int
 val equal_attr : attr -> attr -> bool
 val compare_attr : attr -> attr -> int
 val equal_predicate : predicate -> predicate -> bool
@@ -89,8 +88,6 @@ val compare_table_ref : table_ref -> table_ref -> int
 val equal : t -> t -> bool
 val compare : t -> t -> int
 
-val pp_attr : Format.formatter -> attr -> unit
-val pp_literal : Format.formatter -> literal -> unit
 val pp_predicate : Format.formatter -> predicate -> unit
 val pp : Format.formatter -> t -> unit
 (** Prints the query as SQL text that {!Parser.parse} accepts. *)

@@ -46,7 +46,6 @@ val mass_in : t -> Interval.t -> float
 val fraction_in : t -> Interval.t -> float
 (** [mass_in] normalized by {!total}; 0 when the histogram is empty. *)
 
-val bucket_count : t -> int
 val domain : t -> Interval.t
 
 val percentile : t -> float -> float

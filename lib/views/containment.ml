@@ -17,6 +17,10 @@ let range_attr = function
   | Ast.Cmp (_, Ast.Lit (Ast.L_int _), Ast.Col a) -> Some a
   | Ast.Cmp _ -> None
 
+(* Does the WHERE conjunction of [by] guarantee conjunct [p]?  [q_ctx]
+   supplies the context in which range conjuncts of [p] are interpreted
+   (its [range_of] is compared against [by]'s); any other conjunct must
+   appear syntactically in [by]'s WHERE clause. *)
 let conjunct_implied ~by q_ctx p =
   if is_range_conjunct p then
     match range_attr p with

@@ -84,6 +84,26 @@ let test_stmt_selective_invalidation () =
   Alcotest.(check int) "exactly one invalidation" 1 st.Statement_cache.invalidations;
   Alcotest.(check int) "entry gone" 0 (Statement_cache.length c)
 
+(* The ghost list holds [max_entries] first sightings and forgets the
+   oldest: A is pushed out by C, so its second insert is a first
+   sighting again, while C's second insert is admitted. *)
+let test_stmt_ghost_list_bounded () =
+  let c = Statement_cache.create ~require_repeat:true ~max_entries:2 () in
+  let a = sig_of_range (0, 9)
+  and b = sig_of_range (10, 19)
+  and c' = sig_of_range (20, 29) in
+  List.iter (fun sg -> stmt_insert c sg ~sources:[]) [ a; b; c' ];
+  Alcotest.(check int) "one-offs suppressed" 3 (Statement_cache.suppressed c);
+  stmt_insert c a ~sources:[];
+  Alcotest.(check int) "forgotten A suppressed again" 4
+    (Statement_cache.suppressed c);
+  Alcotest.(check int) "nothing cached yet" 0 (Statement_cache.length c);
+  stmt_insert c c' ~sources:[];
+  Alcotest.(check int) "C admitted on its second insert" 4
+    (Statement_cache.suppressed c);
+  Alcotest.(check bool) "C served" true
+    (Statement_cache.find c ~fingerprint:(fun _ -> 0) c' <> None)
+
 (* ------------------------------------------------------------------ *)
 (* Result cache                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -131,6 +151,20 @@ let test_result_epoch_invalidation () =
   Alcotest.(check int) "invalidation counted" 1
     (Result_cache.stats c).Result_cache.invalidations;
   Alcotest.(check int) "entry dropped eagerly" 0 (Result_cache.length c)
+
+(* [clients] only sizes a Client tier; a Shared tier ignores it. *)
+let test_tier_clients_only_for_client_placement () =
+  let cfg = { Tier.default_config with Tier.clients = 0 } in
+  let t = Tier.create { cfg with Tier.placement = Tier.Shared } in
+  let sg = sig_of_range (0, 9) in
+  result_insert (Tier.instance t ~client:0).Tier.result sg ~rows:3 ~epoch:1;
+  Alcotest.(check bool) "shared tier with 0 clients serves hits" true
+    (Result_cache.find (Tier.instance t ~client:5).Tier.result ~epoch:1 sg
+    <> None);
+  Alcotest.(check int) "hit counted" 1 (Tier.stats t).Tier.result.Result_cache.hits;
+  Alcotest.check_raises "client tier with 0 clients"
+    (Invalid_argument "Tier.create: clients must be at least 1") (fun () ->
+      ignore (Tier.create { cfg with Tier.placement = Tier.Client } : Tier.t))
 
 (* ------------------------------------------------------------------ *)
 (* Market integration                                                   *)
@@ -238,7 +272,7 @@ let test_market_statement_hits () =
   Alcotest.(check int) "two statement hits" 2 qs.Tier.stmt.Statement_cache.hits;
   Alcotest.(check int) "two trades avoided" 2 qs.Tier.trades_avoided;
   Alcotest.(check int) "first insert suppressed" 1
-    qs.Tier.stmt.Statement_cache.suppressed;
+    qs.Tier.stmt_suppressed;
   let costs =
     List.map (fun (t : Market.trade_stats) -> t.Market.plan_cost) s.Market.trades
   in
@@ -316,7 +350,7 @@ let test_shared_beats_client_on_repeats () =
   Alcotest.(check bool) "shared serves most repeats" true
     (shared.Tier.trades_avoided >= 4);
   Alcotest.(check bool) "admission filter suppressed a first sighting" true
-    (shared.Tier.stmt.Statement_cache.suppressed >= 1);
+    (shared.Tier.stmt_suppressed >= 1);
   Alcotest.(check int) "client caches are all cold" 0 client.Tier.trades_avoided;
   Alcotest.(check bool) "shared hit count dominates" true
     (shared.Tier.stmt.Statement_cache.hits
@@ -392,6 +426,10 @@ let suite =
       quick "statement cache: deterministic LRU" test_stmt_lru;
       quick "statement cache: per-source invalidation is selective"
         test_stmt_selective_invalidation;
+      quick "statement cache: ghost list bounded, oldest forgotten"
+        test_stmt_ghost_list_bounded;
+      quick "tier: clients checked only under Client placement"
+        test_tier_clients_only_for_client_placement;
       quick "result cache: byte budget evicts, oversize skipped"
         test_result_byte_budget;
       quick "result cache: epoch change never serves stale"

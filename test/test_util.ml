@@ -240,6 +240,43 @@ let test_texttable () =
   Alcotest.(check bool) "row padded" true
     (String.split_on_char '\n' s |> List.length >= 4)
 
+module Lru = Qt_util.Lru
+
+let test_lru_victim () =
+  let t = Lru.create ~max_entries:2 in
+  Lru.insert t "a" 1;
+  Lru.insert t "b" 2;
+  (* A hit refreshes "a", so "b" is the least recently used. *)
+  Alcotest.(check bool) "a hit" true (Lru.find t "a" ~valid:(fun _ -> true) = Lru.Hit 1);
+  Lru.insert t "c" 3;
+  Alcotest.(check (list bool)) "b evicted" [ true; false; true ]
+    (List.map (Lru.mem t) [ "a"; "b"; "c" ]);
+  Alcotest.(check bool) "pop takes the oldest" true (Lru.pop_lru t = Some 1);
+  Alcotest.(check int) "evictions counted" 2 (Lru.stats t).evictions;
+  Alcotest.(check int) "one hit" 1 (Lru.stats t).hits
+
+let test_lru_replace () =
+  let t = Lru.create ~max_entries:2 in
+  Lru.insert t "a" 1;
+  Lru.insert t "b" 2;
+  Lru.insert t "a" 10;
+  Alcotest.(check int) "both kept" 2 (Lru.length t);
+  Alcotest.(check int) "no eviction" 0 (Lru.stats t).evictions;
+  Alcotest.(check bool) "replaced value" true
+    (Lru.find t "a" ~valid:(fun _ -> true) = Lru.Hit 10)
+
+let test_lru_stale () =
+  let t = Lru.create ~max_entries:4 in
+  Lru.insert t "a" 1;
+  Alcotest.(check bool) "stale returns the value" true
+    (Lru.find t "a" ~valid:(fun v -> v > 1) = Lru.Stale 1);
+  Alcotest.(check bool) "stale entry removed" false (Lru.mem t "a");
+  Alcotest.(check bool) "then absent" true
+    (Lru.find t "a" ~valid:(fun _ -> true) = Lru.Absent);
+  let s = Lru.stats t in
+  Alcotest.(check (list int)) "hits, misses, invalidations, evictions"
+    [ 0; 2; 1; 0 ] [ s.hits; s.misses; s.invalidations; s.evictions ]
+
 let suite =
   ( "util",
     [
@@ -264,4 +301,7 @@ let suite =
       quick "listx basics" test_listx_basics;
       quick "listx group_by" test_listx_group_by;
       quick "texttable" test_texttable;
+      quick "lru victim is least recently used" test_lru_victim;
+      quick "lru replace never evicts" test_lru_replace;
+      quick "lru stale find removes and counts" test_lru_stale;
     ] )
