@@ -2296,7 +2296,7 @@ let micro () =
   let offers =
     List.concat_map
       (fun (n : Qt_catalog.Node.t) ->
-        (Seller.respond seller_config schema n ~requests:[ (q, 0.) ]).Seller.offers)
+        (Seller.respond seller_config schema n ~requests:[ Seller.request q ]).Seller.offers)
       federation.Qt_catalog.Federation.nodes
   in
   let tests =
@@ -2309,7 +2309,7 @@ let micro () =
                    WHERE c.custid = il.custid GROUP BY c.office")));
       Test.make ~name:"seller-respond"
         (Staged.stage (fun () ->
-             ignore (Seller.respond seller_config schema node ~requests:[ (q, 0.) ])));
+             ignore (Seller.respond seller_config schema node ~requests:[ Seller.request q ])));
       Test.make ~name:"plan-generate"
         (Staged.stage (fun () ->
              ignore

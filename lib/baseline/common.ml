@@ -24,7 +24,7 @@ type result = { plan : Plan.t; cost : Cost.t; stats : stats }
 let collect_offers ~params ~(federation : Federation.t) ~rounds q =
   let schema = federation.schema in
   let seller_config = Seller.default_config params in
-  let asked : (string, unit) Hashtbl.t = Hashtbl.create 32 in
+  let asked : (int, unit) Hashtbl.t = Hashtbl.create 32 in
   let pool = ref [] in
   let processing = ref 0. in
   let queue = ref [ q ] in
@@ -34,11 +34,12 @@ let collect_offers ~params ~(federation : Federation.t) ~rounds q =
     let requests =
       List.filter_map
         (fun query ->
-          let s = Analysis.signature query in
+          let r = Seller.request query in
+          let s = Analysis.Sig.id r.Seller.signature in
           if Hashtbl.mem asked s then None
           else begin
             Hashtbl.replace asked s ();
-            Some (query, 0.)
+            Some r
           end)
         !queue
     in

@@ -33,9 +33,21 @@ let holds_relation t rel = fragments_of t rel <> []
 
 let coverage t rel = List.map (fun (f : Fragment.t) -> f.range) (fragments_of t rel)
 
+(* One [Hashtbl.hash] per fragment and per view, mixed in list order: a
+   single hash over the whole catalog would stop after a bounded number
+   of values and miss a change to a late fragment of a large node.  A
+   view's definition is a tree, hashed with limits no real definition
+   reaches. *)
 let fingerprint t =
-  Hashtbl.hash_param 1000 1000
-    (t.fragments, t.views, t.capabilities, t.cpu_factor, t.io_factor)
+  let mix acc h = ((acc * 31) + h) land max_int in
+  let acc = Hashtbl.hash (t.capabilities, t.cpu_factor, t.io_factor) in
+  let acc =
+    List.fold_left (fun acc (f : Fragment.t) -> mix acc (Hashtbl.hash f)) acc
+      t.fragments
+  in
+  List.fold_left
+    (fun acc (v : View.t) -> mix acc (Hashtbl.hash_param 1000 1000 v))
+    acc t.views
 
 let pp ppf t =
   Format.fprintf ppf "node %d (%s): %a%s" t.node_id t.name

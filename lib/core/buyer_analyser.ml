@@ -103,4 +103,4 @@ let enrich ~schema ~query ~offers =
     @ redundancy_restrictions schema query offers
     @ subset_requests query offers
   in
-  Listx.dedup (fun a b -> Analysis.equal_semantic a b) proposals
+  Analysis.dedup_semantic proposals

@@ -25,6 +25,7 @@ type t = {
   via_view : string option;
   rename : (string * string) list option;
   imports : (string * int * Qt_util.Interval.t) list;
+  wire_bytes : int;
 }
 
 type weights = {
@@ -42,7 +43,7 @@ let valuation w t =
   +. (w.w_staleness *. (1. -. t.props.freshness))
   +. (w.w_price *. t.props.price)
 
-let wire_bytes t = 64 + String.length (Analysis.to_string t.query)
+let wire_bytes_of query = 64 + String.length (Ast.to_string query)
 
 let surviving ~failed offers =
   List.filter

@@ -61,6 +61,10 @@ type t = {
           third nodes to complete this answer.  The quoted cost already
           includes the sub-purchases; at execution time the seller
           evaluates [query] over its own fragments plus these imports. *)
+  wire_bytes : int;
+      (** Approximate size of the offer message, {!wire_bytes_of}
+          [query], computed once where the seller builds the offer; bid
+          cache replays carry it along. *)
 }
 
 type weights = {
@@ -80,9 +84,9 @@ val valuation : weights -> t -> float
     minimizes.  Uses the {e quoted} time, so competitive markups are felt
     by the buyer. *)
 
-val wire_bytes : t -> int
-(** Approximate size of the offer message (SQL text plus fixed fields),
-    for network accounting. *)
+val wire_bytes_of : Qt_sql.Ast.t -> int
+(** Approximate size of an offer message carrying this query (SQL text
+    plus fixed fields), for network accounting. *)
 
 val surviving : failed:int list -> t list -> t list
 (** The offers that remain honourable after [failed] nodes die: their

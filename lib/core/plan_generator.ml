@@ -67,6 +67,7 @@ let remote_of_offer weights (o : Offer.t) =
     {
       Plan.seller = o.seller;
       query = o.query;
+      query_sig = o.query_sig;
       remote_rows = o.props.rows;
       remote_row_bytes = o.props.row_bytes;
       delivered_cost = Cost.make ~net:(Offer.valuation weights o) ();

@@ -19,8 +19,7 @@ let failover ?config ~params ~failed ~previous (federation : Federation.t) q =
        sellers, and contracts whose subcontracted imports came from a
        dead node (the seller is alive but can no longer deliver). *)
     let lost =
-      Qt_util.Listx.dedup
-        (fun a b -> Qt_sql.Analysis.equal_semantic a b)
+      Qt_sql.Analysis.dedup_semantic
         (List.filter_map
            (fun (o : Offer.t) ->
              if List.memq o standing then None else Some o.answers)

@@ -139,6 +139,7 @@ let offer_of_partial config schema (node : Node.t) ~request ~request_sig
     via_view = None;
     rename = None;
     imports;
+    wire_bytes = Offer.wire_bytes_of partial.query;
   }
 
 let view_offers config schema (node : Node.t) ~request ~request_sig =
@@ -234,6 +235,7 @@ let view_offers config schema (node : Node.t) ~request ~request_sig =
               via_view = Some view.view_name;
               rename = Some (request_output_cols request);
               imports = [];
+              wire_bytes = Offer.wire_bytes_of cq;
             })
       node.views
 
@@ -519,6 +521,23 @@ let price_request config schema (node : Node.t) ~request ~request_sig
   in
   (offers, !considered)
 
+type request = {
+  query : Ast.t;
+  estimate : float;
+  signature : Analysis.Sig.t;
+  wire_bytes : int;
+}
+
+(* Signed and sized once, by the buyer: every seller of every round reads
+   the same record instead of re-printing the query. *)
+let request ?(estimate = 0.) query =
+  {
+    query;
+    estimate;
+    signature = Analysis.Sig.of_ast query;
+    wire_bytes = 32 + String.length (Ast.to_string query);
+  }
+
 (* --- seller-side bid cache (tentpole) --------------------------------
 
    Pricing a request is the expensive seller-side step (a full DP
@@ -597,20 +616,25 @@ let respond ?cache config schema (node : Node.t) ~requests =
   (* Under subcontracting the offers depend on what the rest of the market
      answers right now, which the key cannot capture — bypass the cache. *)
   let cacheable = config.market = None in
-  let serve (request, buyer_estimate) =
-    let request_sig = Analysis.Sig.of_ast request in
+  (* The catalog cannot change within one call: digest it once. *)
+  let fingerprint =
+    match cache with
+    | Some _ when cacheable -> catalog_fingerprint node
+    | Some _ | None -> 0
+  in
+  let valid e = entry_valid config ~fingerprint e in
+  let serve (r : request) =
     let price () =
       let offers, considered =
-        price_request config schema node ~request ~request_sig ~buyer_estimate
+        price_request config schema node ~request:r.query
+          ~request_sig:r.signature ~buyer_estimate:r.estimate
       in
       total_considered := !total_considered + considered;
       (offers, considered)
     in
     match cache with
     | Some c when cacheable -> (
-      let key = (Analysis.Sig.id request_sig, buyer_estimate) in
-      let fingerprint = catalog_fingerprint node in
-      let valid e = entry_valid config ~fingerprint e in
+      let key = (Analysis.Sig.id r.signature, r.estimate) in
       match Lru.find c key ~valid with
       | Lru.Hit e -> e.e_offers
       | Lru.Stale _ | Lru.Absent ->

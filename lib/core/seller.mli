@@ -69,6 +69,23 @@ type response = {
           batch. *)
 }
 
+type request = private {
+  query : Qt_sql.Ast.t;
+  estimate : float;
+      (** The value the buyer announced for the query (step B1); 0 when
+          it has none. *)
+  signature : Qt_sql.Analysis.Sig.t;  (** [Sig.of_ast query]. *)
+  wire_bytes : int;
+      (** Size of the request on the wire: a fixed header plus the SQL
+          text of [query]. *)
+}
+(** One query of a request-for-bids, signed and sized once by the buyer
+    and read by every seller it is broadcast to. *)
+
+val request : ?estimate:float -> Qt_sql.Ast.t -> request
+(** Signs and sizes the query; the only way to build a {!request}, so a
+    signature always matches its query.  [estimate] defaults to 0. *)
+
 type cache
 (** A per-node bid cache: priced offers keyed by the request's interned
     signature and the buyer's announced estimate.  Entries are replayed
@@ -114,12 +131,12 @@ val respond :
   config ->
   Qt_catalog.Schema.t ->
   Qt_catalog.Node.t ->
-  requests:(Qt_sql.Ast.t * float) list ->
+  requests:request list ->
   response
 (** [respond config schema node ~requests] builds this node's offers for
-    each [(query, buyer_estimate)] in the RFB.  The buyer estimate is the
-    value the buyer announced for the query (step B1); sellers with
-    nothing cheaper to offer stay silent on that lot.
+    each request of the RFB, keyed by its signature and buyer estimate.
+    Sellers with nothing cheaper than the estimate to offer stay silent
+    on that lot.
 
     With [?cache], previously priced requests are replayed without
     re-running the local optimizer, and [processing_time] charges only

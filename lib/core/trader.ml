@@ -88,12 +88,7 @@ type outcome = {
   iteration_costs : float list;
 }
 
-(* Wire size of one request: a fixed header plus the serialized query. *)
-let request_bytes_one q = 32 + String.length (Analysis.to_string q)
-
-let request_bytes requests =
-  Listx.sum_by (fun (q, _) -> float_of_int (request_bytes_one q)) requests
-  |> int_of_float
+let sig_id (r : Seller.request) = Analysis.Sig.id r.signature
 
 (* The buyer's own id on the discrete-event runtime: sellers are the
    federation's node ids (>= 0), so the buyer sits below them. *)
@@ -318,25 +313,18 @@ let optimize ?(standing = []) ?requests:initial_requests ?transport ?caches
   let queue =
     ref
       (match initial_requests with
-      | None -> [ (q, config.initial_estimate) ]
-      | Some qs -> List.map (fun query -> (query, 0.)) qs)
+      | None -> [ Seller.request ~estimate:config.initial_estimate q ]
+      | Some qs -> List.map (fun query -> Seller.request query) qs)
   in
   let iterations = ref 0 in
   let continue = ref true in
   while !continue && !iterations < config.max_iterations && !queue <> [] do
     incr iterations;
-    (* Each queued query is signed exactly once per round; everything
-       downstream (dedup, memo, the asked set, seller caches, lots) keys
-       on the interned signature. *)
-    let sigged =
-      List.map
-        (fun (query, estimate) -> (query, estimate, Analysis.Sig.of_ast query))
-        !queue
-    in
+    (* Each queued request was signed once, when it was queued;
+       everything downstream (dedup, memo, the asked set, seller caches,
+       lots) keys on its interned signature. *)
     let unasked =
-      List.filter
-        (fun (_, _, s) -> not (Hashtbl.mem asked (Analysis.Sig.id s)))
-        sigged
+      List.filter (fun r -> not (Hashtbl.mem asked (sig_id r))) !queue
     in
     (* One message per distinct signature per round: a query asked twice
        in the same RFB would be priced twice and billed twice for no new
@@ -344,13 +332,13 @@ let optimize ?(standing = []) ?requests:initial_requests ?transport ?caches
     let seen_this_round = Hashtbl.create 8 in
     let unasked =
       List.filter
-        (fun (_, _, s) ->
-          if Hashtbl.mem seen_this_round (Analysis.Sig.id s) then begin
+        (fun r ->
+          if Hashtbl.mem seen_this_round (sig_id r) then begin
             incr requests_deduped;
             false
           end
           else begin
-            Hashtbl.replace seen_this_round (Analysis.Sig.id s) ();
+            Hashtbl.replace seen_this_round (sig_id r) ();
             true
           end)
         unasked
@@ -365,23 +353,16 @@ let optimize ?(standing = []) ?requests:initial_requests ?transport ?caches
       !pool;
     let requests, memoized =
       List.partition
-        (fun (_, _, s) -> not (Hashtbl.mem live_sigs (Analysis.Sig.id s)))
+        (fun r -> not (Hashtbl.mem live_sigs (sig_id r)))
         unasked
     in
     rebroadcasts_skipped := !rebroadcasts_skipped + List.length memoized;
-    List.iter
-      (fun (_, _, s) -> Hashtbl.replace asked (Analysis.Sig.id s) ())
-      unasked;
+    List.iter (fun r -> Hashtbl.replace asked (sig_id r) ()) unasked;
     queries_asked := !queries_asked + List.length requests;
     (* Content descriptor of the RFB for coalescing transports: one
        (interned signature id, wire bytes) pair per request. *)
     let request_sigs =
-      List.map
-        (fun (query, _, s) -> (Analysis.Sig.id s, request_bytes_one query))
-        requests
-    in
-    let requests =
-      List.map (fun (query, estimate, _) -> (query, estimate)) requests
+      List.map (fun (r : Seller.request) -> (sig_id r, r.wire_bytes)) requests
     in
     if requests = [] then begin
       (* Nothing left to broadcast.  If standing offers cover everything
@@ -401,7 +382,11 @@ let optimize ?(standing = []) ?requests:initial_requests ?transport ?caches
     end
     else begin
       (* B2: broadcast the RFB; every seller prices it in parallel. *)
-      let req_bytes = request_bytes requests in
+      let req_bytes =
+        List.fold_left
+          (fun acc (r : Seller.request) -> acc + r.wire_bytes)
+          0 requests
+      in
       (* Depth-1 market channel for subcontracting: a seller may ask all
          OTHER nodes for a missing piece; the traffic is accounted after
          the round (sub-RFB + offers per contacted node). *)
@@ -412,6 +397,7 @@ let optimize ?(standing = []) ?requests:initial_requests ?transport ?caches
         else
           Some
             (fun sub_query ->
+              let sub_requests = [ Seller.request sub_query ] in
               let others =
                 List.filter
                   (fun (n : Node.t) ->
@@ -440,7 +426,7 @@ let optimize ?(standing = []) ?requests:initial_requests ?transport ?caches
                           pricing = config.pricing_of n.node_id;
                         }
                         schema n
-                        ~requests:[ (sub_query, 0.) ]
+                        ~requests:sub_requests
                     in
                     sub_elapsed :=
                       Float.max !sub_elapsed
@@ -461,8 +447,7 @@ let optimize ?(standing = []) ?requests:initial_requests ?transport ?caches
         }
       in
       let reply_bytes_of (r : Seller.response) =
-        int_of_float
-          (Listx.sum_by (fun o -> float_of_int (Offer.wire_bytes o)) r.offers)
+        List.fold_left (fun acc (o : Offer.t) -> acc + o.wire_bytes) 0 r.offers
       in
       let round_from = snap () in
       let _, _, round_e0, _ = round_from in
@@ -550,10 +535,13 @@ let optimize ?(standing = []) ?requests:initial_requests ?transport ?caches
       (* B5/B6: the predicates analyser proposes the next round's queries. *)
       let plan_from = snap () in
       let proposals = Buyer_analyser.enrich ~schema ~query:q ~offers:!pool in
+      (* Each proposal is signed here, once; the fresh ones are queued
+         with that signature. *)
       let fresh_queries =
-        List.filter
+        List.filter_map
           (fun query ->
-            not (Hashtbl.mem asked (Analysis.Sig.id (Analysis.Sig.of_ast query))))
+            let r = Seller.request query in
+            if Hashtbl.mem asked (sig_id r) then None else Some r)
           proposals
       in
       record ~cat:"plan_gen" plan_p ~from:plan_from ~sim_shift:0. ~wall_shift:0.;
@@ -571,7 +559,7 @@ let optimize ?(standing = []) ?requests:initial_requests ?transport ?caches
         :: !trace;
       (* B7: stop when nothing improved and nothing new to ask. *)
       if (not improved) && fresh_queries = [] then continue := false
-      else queue := List.map (fun query -> (query, 0.)) fresh_queries
+      else queue := fresh_queries
     end
   done;
   Obs.close obs root

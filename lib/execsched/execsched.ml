@@ -290,7 +290,7 @@ let drain t ~upto =
 let rec build t ~trade ~buyer ~at plan =
   match plan with
   | Plan.Remote r ->
-    let key = (Sig.id (Sig.of_ast r.Plan.query), r.Plan.seller) in
+    let key = (Sig.id r.Plan.query_sig, r.Plan.seller) in
     let existing =
       if not t.config.share_results then None
       else

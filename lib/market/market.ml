@@ -251,6 +251,7 @@ type trade = {
   t_index : int;
   t_buyer : int;  (* runtime node id: -(index + 1) *)
   t_query : Qt_sql.Ast.t;
+  t_sig : Analysis.Sig.t;  (* [t_query]'s signature: the cache tier's key *)
   t_priority : int;
   mutable t_messages : int;
   mutable t_bytes : int;
@@ -283,11 +284,12 @@ type trade = {
 }
 
 let make_trade ?(arrival = 0.) ?(deadline = infinity) ?klass ~index ~priority
-    query =
+    (query, signature) =
   {
     t_index = index;
     t_buyer = -(index + 1);
     t_query = query;
+    t_sig = signature;
     t_priority = priority;
     t_messages = 0;
     t_bytes = 0;
@@ -593,16 +595,15 @@ let qcache_probe st tr =
     let lat = (Tier.config q.q_tier).Tier.lookup_latency in
     if lat > 0. then Runtime.advance st.rt ~node:tr.t_buyer lat;
     let inst = Tier.instance q.q_tier ~client:tr.t_index in
-    let sg = Analysis.Sig.of_ast tr.t_query in
     let result_hit =
       match st.sched with
       | None -> None
-      | Some _ -> Result_cache.find inst.Tier.result ~epoch:q.q_epoch sg
+      | Some _ -> Result_cache.find inst.Tier.result ~epoch:q.q_epoch tr.t_sig
     in
     match result_hit with
     | Some e -> `Result (q, e)
     | None -> (
-      match Statement_cache.find inst.Tier.stmt ~fingerprint:q.q_fp sg with
+      match Statement_cache.find inst.Tier.stmt ~fingerprint:q.q_fp tr.t_sig with
       | Some e -> `Stmt (q, e)
       | None -> `Miss))
 
@@ -643,8 +644,7 @@ let qcache_note_traded st tr ~plan ~plan_cost works =
   | Some q ->
     if tr.t_cache_hit = None then
       let inst = Tier.instance q.q_tier ~client:tr.t_index in
-      Statement_cache.insert inst.Tier.stmt
-        (Analysis.Sig.of_ast tr.t_query)
+      Statement_cache.insert inst.Tier.stmt tr.t_sig
         ~plan ~plan_cost ~contracts:works
         ~sources:(List.map (fun (s, _) -> (s, q.q_fp s)) works)
 
@@ -662,8 +662,7 @@ let qcache_install_exec_hook st trades =
            | None -> ()
            | Some plan ->
              let inst = Tier.instance q.q_tier ~client:trade in
-             Result_cache.insert inst.Tier.result
-               (Analysis.Sig.of_ast tr.t_query)
+             Result_cache.insert inst.Tier.result tr.t_sig
                ~table ~plan ~plan_cost:tr.t_plan_cost
                ~suppliers:tr.t_contracts ~epoch:q.q_epoch))
   | _ -> ()
@@ -1806,7 +1805,10 @@ let drive_loop ~obs scfg federation trades ~exec_at_admission =
    go to the execution scheduler at admission. *)
 let run ?(obs = Obs.disabled) cfg federation queries =
   let trades =
-    Array.of_list (List.mapi (fun i q -> make_trade ~index:i ~priority:0 q) queries)
+    Array.of_list
+      (List.mapi
+         (fun i q -> make_trade ~index:i ~priority:0 (q, Analysis.Sig.of_ast q))
+         queries)
   in
   let scfg =
     {
@@ -1863,6 +1865,8 @@ let run ?(obs = Obs.disabled) cfg federation queries =
 let run_stream ?(obs = Obs.disabled) scfg federation ~templates arrivals =
   if Array.length templates = 0 then
     invalid_arg "Market.run_stream: empty template pool";
+  (* Each template is signed once per run; its trades share the record. *)
+  let templates = Array.map (fun q -> (q, Analysis.Sig.of_ast q)) templates in
   let trades =
     Array.of_list arrivals
     |> Array.mapi (fun i (a : Arrivals.arrival) ->

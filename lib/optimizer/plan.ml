@@ -38,6 +38,7 @@ and scan = {
 and remote = {
   seller : int;
   query : Ast.t;
+  query_sig : Qt_sql.Analysis.Sig.t;
   remote_rows : float;
   remote_row_bytes : int;
   delivered_cost : Cost.t;

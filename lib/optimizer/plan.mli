@@ -52,6 +52,9 @@ and scan = {
 and remote = {
   seller : int;
   query : Qt_sql.Ast.t;  (** The traded sub-query, as offered. *)
+  query_sig : Qt_sql.Analysis.Sig.t;
+      (** [Sig.of_ast query], carried over from the offer: what execution
+          keys shared remote answers by. *)
   remote_rows : float;
   remote_row_bytes : int;
   delivered_cost : Qt_cost.Cost.t;

@@ -258,7 +258,11 @@ let normalize (q : Ast.t) =
 
 let equal_semantic a b = Ast.equal (normalize a) (normalize b)
 
-let to_string q = Format.asprintf "%a" Ast.pp q
+let dedup_semantic qs =
+  let normal = List.map (fun q -> (normalize q, q)) qs in
+  List.map snd (Listx.dedup (fun (a, _) (b, _) -> Ast.equal a b) normal)
+
+let to_string = Ast.to_string
 
 let signature q = to_string (normalize q)
 

@@ -80,11 +80,15 @@ val normalize : Ast.t -> Ast.t
 val equal_semantic : Ast.t -> Ast.t -> bool
 (** Equality of normal forms. *)
 
+val dedup_semantic : Ast.t list -> Ast.t list
+(** The first query of each {!equal_semantic} class, in list order.
+    Normalizes each query once, not once per comparison. *)
+
 val signature : Ast.t -> string
 (** Stable string key of the normal form, for hashing and deduplication. *)
 
 val to_string : Ast.t -> string
-(** SQL text (shorthand for [Format.asprintf "%a" Ast.pp]). *)
+(** SQL text: {!Ast.to_string}. *)
 
 (** Interned (hash-consed) query signatures.
 

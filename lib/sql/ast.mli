@@ -88,6 +88,10 @@ val compare_table_ref : table_ref -> table_ref -> int
 val equal : t -> t -> bool
 val compare : t -> t -> int
 
+val to_string : t -> string
+(** The query as SQL text that {!Parser.parse} accepts.  Floats print as
+    [%.12g].  Built in one {!Buffer}; the only SQL printer. *)
+
 val pp_predicate : Format.formatter -> predicate -> unit
 val pp : Format.formatter -> t -> unit
-(** Prints the query as SQL text that {!Parser.parse} accepts. *)
+(** [Format.pp_print_string ppf (to_string q)]. *)

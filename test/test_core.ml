@@ -24,7 +24,7 @@ let revenue = Helpers.revenue_query ()
 
 let respond ?(config = Seller.default_config params) node_id q =
   let node = Qt_catalog.Federation.node federation node_id in
-  Seller.respond config schema node ~requests:[ (q, 0.) ]
+  Seller.respond config schema node ~requests:[ Seller.request q ]
 
 let test_seller_offers_partials () =
   let r = respond 0 revenue in
@@ -86,7 +86,7 @@ let test_seller_silent_when_irrelevant () =
   let holders =
     List.filter
       (fun (n : Qt_catalog.Node.t) ->
-        Seller.respond (Seller.default_config params) schema n ~requests:[ (q, 0.) ]
+        Seller.respond (Seller.default_config params) schema n ~requests:[ Seller.request q ]
         |> fun r -> r.Seller.offers <> [])
       federation.Qt_catalog.Federation.nodes
   in
@@ -116,7 +116,7 @@ let test_seller_scan_only_capability () =
   in
   let r =
     Seller.respond (Seller.default_config params)
-      fed.Qt_catalog.Federation.schema weak ~requests:[ (revenue, 0.) ]
+      fed.Qt_catalog.Federation.schema weak ~requests:[ Seller.request revenue ]
   in
   Alcotest.(check bool) "still offers something" true (r.Seller.offers <> []);
   List.iter
@@ -176,7 +176,7 @@ let test_qt_mixed_capabilities_prefers_capable () =
 let collect_offers q =
   List.concat_map
     (fun (n : Qt_catalog.Node.t) ->
-      (Seller.respond (Seller.default_config params) schema n ~requests:[ (q, 0.) ])
+      (Seller.respond (Seller.default_config params) schema n ~requests:[ Seller.request q ])
         .Seller.offers)
     federation.Qt_catalog.Federation.nodes
 
@@ -440,7 +440,7 @@ let test_monetary_pricing () =
     { (Seller.default_config params) with Seller.price_per_mb = 10. }
   in
   let node = Qt_catalog.Federation.node fed 0 in
-  let r = Seller.respond priced schema node ~requests:[ (revenue, 0.) ] in
+  let r = Seller.respond priced schema node ~requests:[ Seller.request revenue ] in
   List.iter
     (fun (o : Offer.t) ->
       let expected = 10. *. o.props.rows *. float_of_int o.props.row_bytes /. 1e6 in

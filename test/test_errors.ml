@@ -68,6 +68,9 @@ let test_engine_rename_mismatch () =
       {
         Plan.seller = 0;
         query = Helpers.parse "SELECT c.custid, c.office FROM customer c";
+        query_sig =
+          Qt_sql.Analysis.Sig.of_ast
+            (Helpers.parse "SELECT c.custid, c.office FROM customer c");
         remote_rows = 10.;
         remote_row_bytes = 16;
         delivered_cost = Qt_cost.Cost.zero;

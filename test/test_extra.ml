@@ -63,7 +63,7 @@ let test_offer_invariants () =
         (fun (n : Qt_catalog.Node.t) ->
           let r =
             Seller.respond (Seller.default_config params) schema n
-              ~requests:[ (q, 0.) ]
+              ~requests:[ Seller.request q ]
           in
           List.iter
             (fun (o : Offer.t) ->

@@ -106,7 +106,7 @@ let test_cache_lru_eviction () =
   let cache = Seller.cache_create ~max_entries:1 () in
   let q1 = revenue_query ~range:(0, 399) () in
   let q2 = revenue_query ~range:(400, 799) () in
-  let ask q = ignore (Seller.respond ~cache config schema node ~requests:[ (q, 0.) ]) in
+  let ask q = ignore (Seller.respond ~cache config schema node ~requests:[ Seller.request q ]) in
   ask q1;
   ask q1;
   let warm = Seller.cache_stats cache in

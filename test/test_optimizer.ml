@@ -222,6 +222,7 @@ let test_plan_cost_remote_parallel () =
       {
         Plan.seller = 1;
         query = parse "SELECT t0.val FROM ra t0";
+        query_sig = Qt_sql.Analysis.Sig.of_ast (parse "SELECT t0.val FROM ra t0");
         remote_rows = rows;
         remote_row_bytes = 8;
         delivered_cost = Cost.make ~net:cost ();

@@ -256,7 +256,7 @@ let test_bid_cache_invalidates_on_multiplier_change () =
   let quote m =
     { Pricing.q_strategy = Pricing.Surge; q_multiplier = m; q_markup = 0. }
   in
-  let respond c = Seller.respond ~cache c schema node ~requests:[ (q, 0.) ] in
+  let respond c = Seller.respond ~cache c schema node ~requests:[ Seller.request q ] in
   let r1 = respond (config (quote 1.0)) in
   let _r2 = respond (config (quote 1.0)) in
   let st = Seller.cache_stats cache in

@@ -193,6 +193,204 @@ let prop_print_parse_roundtrip =
       | Error e -> QCheck2.Test.fail_reportf "did not reparse %s: %s" text e
       | Ok q2 -> Ast.equal q q2)
 
+(* A [Format] printer of the SQL text, written clause by clause: the
+   oracle [Ast.to_string] must match byte for byte, since signatures,
+   wire sizes and so every golden report are made of its bytes. *)
+module Oracle = struct
+  let pp_attr ppf (a : Ast.attr) = Format.fprintf ppf "%s.%s" a.rel a.name
+
+  let pp_literal ppf = function
+    | Ast.L_int n -> Format.fprintf ppf "%d" n
+    | Ast.L_float f -> Format.fprintf ppf "%.12g" f
+    | Ast.L_string s -> Format.fprintf ppf "'%s'" s
+
+  let string_of_cmp = function
+    | Ast.Eq -> "="
+    | Ast.Ne -> "<>"
+    | Ast.Lt -> "<"
+    | Ast.Le -> "<="
+    | Ast.Gt -> ">"
+    | Ast.Ge -> ">="
+
+  let pp_scalar ppf = function
+    | Ast.Col a -> pp_attr ppf a
+    | Ast.Lit l -> pp_literal ppf l
+
+  let pp_predicate ppf = function
+    | Ast.Cmp (op, l, r) ->
+      Format.fprintf ppf "%a %s %a" pp_scalar l (string_of_cmp op) pp_scalar r
+    | Ast.Between (a, lo, hi) ->
+      Format.fprintf ppf "%a BETWEEN %d AND %d" pp_attr a lo hi
+
+  let string_of_agg = function
+    | Ast.Count -> "COUNT"
+    | Ast.Sum -> "SUM"
+    | Ast.Avg -> "AVG"
+    | Ast.Min -> "MIN"
+    | Ast.Max -> "MAX"
+
+  let pp_select_item ppf = function
+    | Ast.Sel_col a -> pp_attr ppf a
+    | Ast.Sel_agg (f, None) -> Format.fprintf ppf "%s(*)" (string_of_agg f)
+    | Ast.Sel_agg (f, Some a) ->
+      Format.fprintf ppf "%s(%a)" (string_of_agg f) pp_attr a
+
+  let pp_table_ref ppf (r : Ast.table_ref) =
+    if String.equal r.relation r.alias then
+      Format.pp_print_string ppf r.relation
+    else Format.fprintf ppf "%s %s" r.relation r.alias
+
+  let pp_sep sep ppf () = Format.pp_print_string ppf sep
+
+  let pp ppf (q : Ast.t) =
+    Format.fprintf ppf "SELECT %s%a FROM %a"
+      (if q.distinct then "DISTINCT " else "")
+      (Format.pp_print_list ~pp_sep:(pp_sep ", ") pp_select_item)
+      q.select
+      (Format.pp_print_list ~pp_sep:(pp_sep ", ") pp_table_ref)
+      q.from;
+    if q.where <> [] then
+      Format.fprintf ppf " WHERE %a"
+        (Format.pp_print_list ~pp_sep:(pp_sep " AND ") pp_predicate)
+        q.where;
+    if q.group_by <> [] then
+      Format.fprintf ppf " GROUP BY %a"
+        (Format.pp_print_list ~pp_sep:(pp_sep ", ") pp_attr)
+        q.group_by;
+    if q.order_by <> [] then
+      Format.fprintf ppf " ORDER BY %a"
+        (Format.pp_print_list ~pp_sep:(pp_sep ", ") (fun ppf (a, o) ->
+             Format.fprintf ppf "%a%s" pp_attr a
+               (match o with Ast.Asc -> "" | Ast.Desc -> " DESC")))
+        q.order_by
+
+  let to_string q = Format.asprintf "%a" pp q
+end
+
+(* Every clause and literal shape the printer knows: DISTINCT,
+   COUNT-star and aggregates over a column, aliases equal to or different
+   from the relation, BETWEEN, ORDER BY DESC, strings and floats at the
+   edges of [%.12g]. *)
+let full_query_gen =
+  QCheck2.Gen.(
+    let relation = oneofl [ "alpha"; "beta"; "customer" ] in
+    let table_gen =
+      let* relation = relation in
+      let* alias = oneofl [ None; Some "a"; Some "t1"; Some "beta" ] in
+      return (Ast.table ?alias relation)
+    in
+    let* from = list_size (int_range 1 3) table_gen in
+    let alias_gen = map (fun (r : Ast.table_ref) -> r.alias) (oneofl from) in
+    let attr_gen =
+      let* rel = alias_gen in
+      let* name = oneofl [ "x"; "custid"; "charge" ] in
+      return { Ast.rel; name }
+    in
+    let float_gen =
+      oneof
+        [
+          oneofl [ -0.; 0.; 1e-300; 1e22; -1e22; 0.1; -2.5; 123456.789012345 ];
+          float_range (-1e6) 1e6;
+          float;
+        ]
+    in
+    let lit_gen =
+      oneof
+        [
+          map (fun n -> Ast.L_int n) (int_range (-1000) 1000);
+          map (fun f -> Ast.L_float f) float_gen;
+          map (fun s -> Ast.L_string s) (oneofl [ ""; "str"; "a b"; "x'y" ]);
+        ]
+    in
+    let scalar_gen =
+      oneof [ map (fun a -> Ast.Col a) attr_gen; map (fun l -> Ast.Lit l) lit_gen ]
+    in
+    let pred_gen =
+      oneof
+        [
+          (let* op = oneofl [ Ast.Eq; Ast.Ne; Ast.Lt; Ast.Le; Ast.Gt; Ast.Ge ] in
+           let* l = scalar_gen in
+           let* r = scalar_gen in
+           return (Ast.Cmp (op, l, r)));
+          (let* a = attr_gen in
+           let* lo = int_range (-50) 50 in
+           let* hi = int_range (-50) 50 in
+           return (Ast.Between (a, lo, hi)));
+        ]
+    in
+    let item_gen =
+      oneof
+        [
+          map (fun a -> Ast.Sel_col a) attr_gen;
+          (let* f = oneofl [ Ast.Count; Ast.Sum; Ast.Avg; Ast.Min; Ast.Max ] in
+           let* arg = opt attr_gen in
+           return (Ast.Sel_agg (f, arg)));
+        ]
+    in
+    let* distinct = bool in
+    let* select = list_size (int_range 1 4) item_gen in
+    let* where = list_size (int_range 0 4) pred_gen in
+    let* group_by = list_size (int_range 0 2) attr_gen in
+    let* order_by =
+      list_size (int_range 0 2) (pair attr_gen (oneofl [ Ast.Asc; Ast.Desc ]))
+    in
+    return { Ast.distinct; select; from; where; group_by; order_by })
+
+let prop_printer_matches_oracle =
+  QCheck2.Test.make ~name:"buffer printer matches the Format oracle" ~count:500
+    ~print:Oracle.to_string full_query_gen (fun q ->
+      let got = Ast.to_string q and want = Oracle.to_string q in
+      if String.equal got want then true
+      else QCheck2.Test.fail_reportf "printed %S, oracle %S" got want)
+
+(* A query the parser produced prints back to itself: parse the oracle's
+   text where the parser accepts it, then print and parse again. *)
+let prop_parsed_roundtrip =
+  QCheck2.Test.make ~name:"parser-produced queries round-trip" ~count:500
+    ~print:Oracle.to_string full_query_gen (fun q ->
+      match Parser.parse_result (Oracle.to_string q) with
+      | Error _ -> true
+      | Ok p -> (
+        let text = Ast.to_string p in
+        match Parser.parse_result text with
+        | Error e -> QCheck2.Test.fail_reportf "did not reparse %s: %s" text e
+        | Ok p2 -> Ast.equal p p2))
+
+let test_printer_edge_cases () =
+  let t = Ast.table "customer" and c = Ast.attr "customer" "custid" in
+  let with_lit l =
+    Ast.query ~select:[ Ast.Sel_col c ] ~from:[ t ]
+      ~where:[ Ast.eq_const c l ] ()
+  in
+  List.iter
+    (fun f ->
+      let q = with_lit (Ast.L_float f) in
+      Alcotest.(check string)
+        (Printf.sprintf "float %h" f) (Oracle.to_string q) (Ast.to_string q))
+    [ -0.; 0.; 1e-300; 1e22; -3.25; nan; infinity; neg_infinity ];
+  Alcotest.(check string)
+    "-0. keeps its sign" "SELECT customer.custid FROM customer WHERE \
+                          customer.custid = -0"
+    (Ast.to_string (with_lit (Ast.L_float (-0.))));
+  let p = Ast.Between (c, 1, 9) in
+  Alcotest.(check string)
+    "pp_predicate" "customer.custid BETWEEN 1 AND 9"
+    (Format.asprintf "%a" Ast.pp_predicate p)
+
+(* [dedup_semantic] keeps the first query of each class, in order. *)
+let test_dedup_semantic () =
+  let a = parse "SELECT t.x, t.y FROM t WHERE t.x = 1 AND t.y BETWEEN 2 AND 9" in
+  let b = parse "SELECT t.y, t.x FROM t WHERE t.y BETWEEN 2 AND 9 AND t.x = 1" in
+  let c = parse "SELECT t.x FROM t WHERE t.x >= 3 AND t.x <= 7" in
+  let d = parse "SELECT t.x FROM t WHERE t.x BETWEEN 3 AND 7" in
+  let qs = [ a; c; b; d; a ] in
+  let by_pairs = Qt_util.Listx.dedup Analysis.equal_semantic qs in
+  let got = Analysis.dedup_semantic qs in
+  Alcotest.(check int) "two classes" 2 (List.length got);
+  Alcotest.(check bool)
+    "same list as pairwise dedup" true
+    (List.for_all2 ( == ) by_pairs got)
+
 (* Fuzz: the parser must never raise anything but Parser.Error. *)
 let prop_parser_total =
   let fragment =
@@ -317,6 +515,10 @@ let suite =
       quick "roundtrip cases" test_print_parse_roundtrip_cases;
       QCheck_alcotest.to_alcotest prop_print_parse_roundtrip;
       QCheck_alcotest.to_alcotest prop_parser_total;
+      QCheck_alcotest.to_alcotest prop_printer_matches_oracle;
+      QCheck_alcotest.to_alcotest prop_parsed_roundtrip;
+      quick "printer edge cases" test_printer_edge_cases;
+      quick "analysis dedup_semantic" test_dedup_semantic;
       quick "analysis classify" test_analysis_classify;
       quick "analysis restrict" test_analysis_restrict;
       quick "analysis range_of" test_analysis_range_of;

@@ -66,8 +66,8 @@ let test_bid_cache_replays_offers () =
   let node = List.hd federation.Qt_catalog.Federation.nodes in
   let config = Seller.default_config params in
   let cache = Seller.cache_create () in
-  let cold = Seller.respond ~cache config schema node ~requests:[ (revenue, 0.) ] in
-  let warm = Seller.respond ~cache config schema node ~requests:[ (revenue, 0.) ] in
+  let cold = Seller.respond ~cache config schema node ~requests:[ Seller.request revenue ] in
+  let warm = Seller.respond ~cache config schema node ~requests:[ Seller.request revenue ] in
   Alcotest.(check bool) "some offers" true (cold.Seller.offers <> []);
   Alcotest.(check (list string))
     "identical offers"
@@ -89,11 +89,11 @@ let test_bid_cache_invalidation () =
   let node = List.hd federation.Qt_catalog.Federation.nodes in
   let config = Seller.default_config params in
   let cache = Seller.cache_create () in
-  ignore (Seller.respond ~cache config schema node ~requests:[ (revenue, 0.) ]);
+  ignore (Seller.respond ~cache config schema node ~requests:[ Seller.request revenue ]);
   (* Seller got busy: the cached quote is stale. *)
   ignore
     (Seller.respond ~cache { config with Seller.load = 0.7 } schema node
-       ~requests:[ (revenue, 0.) ]);
+       ~requests:[ Seller.request revenue ]);
   let s = Seller.cache_stats cache in
   Alcotest.(check int) "load change invalidates" 1 s.Seller.invalidations;
   Alcotest.(check int) "no hit" 0 s.Seller.hits;
@@ -101,10 +101,107 @@ let test_bid_cache_invalidation () =
   ignore
     (Seller.respond ~cache { config with Seller.load = 0.7 } schema
        { node with Node.cpu_factor = node.Node.cpu_factor *. 2. }
-       ~requests:[ (revenue, 0.) ]);
+       ~requests:[ Seller.request revenue ]);
   let s = Seller.cache_stats cache in
   Alcotest.(check int) "catalog change invalidates" 2 s.Seller.invalidations;
   Alcotest.(check int) "still no hit" 0 s.Seller.hits
+
+(* The node fingerprint must see every fragment: on a 64-fragment node a
+   change to the last fragment's rows is a catalog change, so the cached
+   bid priced before it must not be replayed. *)
+let test_fingerprint_sees_last_fragment () =
+  let federation = telecom_federation () in
+  let schema = federation.Qt_catalog.Federation.schema in
+  let node = List.hd federation.Qt_catalog.Federation.nodes in
+  (* Filler of a relation the query does not read, so pricing is the
+     same on both catalogs and only the fingerprint can tell them apart. *)
+  let filler =
+    List.init
+      (64 - List.length node.Node.fragments)
+      (fun i ->
+        Qt_catalog.Fragment.make ~rel:"archive"
+          ~range:(Qt_util.Interval.make (10 * i) ((10 * i) + 9))
+          ~rows:100)
+  in
+  let big = { node with Node.fragments = node.Node.fragments @ filler } in
+  let changed =
+    match List.rev big.Node.fragments with
+    | last :: rest ->
+      {
+        big with
+        Node.fragments =
+          List.rev
+            ({ last with Qt_catalog.Fragment.rows = last.Qt_catalog.Fragment.rows + 1 }
+            :: rest);
+      }
+    | [] -> Alcotest.fail "no fragments"
+  in
+  Alcotest.(check int) "64 fragments" 64 (List.length big.Node.fragments);
+  Alcotest.(check bool)
+    "last-fragment change alters the fingerprint" true
+    (Node.fingerprint big <> Node.fingerprint changed);
+  let config = Seller.default_config params in
+  let cache = Seller.cache_create () in
+  let ask node =
+    ignore (Seller.respond ~cache config schema node ~requests:[ Seller.request revenue ])
+  in
+  ask big;
+  ask changed;
+  let s = Seller.cache_stats cache in
+  Alcotest.(check int) "cached bid is a miss" 0 s.Seller.hits;
+  Alcotest.(check int) "and invalidated" 1 s.Seller.invalidations
+
+(* Signatures and wire sizes travel with requests and offers: a request's
+   signature is its query's, and every offer's stored size is its
+   query's, whether priced fresh or replayed from the bid cache. *)
+let test_signature_and_size_invariants () =
+  let federation = telecom_federation ~with_views:true () in
+  let caches = Seller.pool_create () in
+  let schema = federation.Qt_catalog.Federation.schema in
+  let offers_of queries =
+    List.concat_map
+      (fun (n : Node.t) ->
+        (Seller.respond ~cache:(Seller.pool_cache caches n.Node.node_id)
+           (Seller.default_config params) schema n
+           ~requests:(List.map Seller.request queries))
+          .Seller.offers)
+      federation.Qt_catalog.Federation.nodes
+  in
+  let seed = offers_of [ revenue ] in
+  let queries =
+    revenue
+    :: Qt_core.Buyer_analyser.enrich ~schema ~query:revenue ~offers:seed
+  in
+  List.iter
+    (fun q ->
+      let r = Seller.request q in
+      Alcotest.(check bool)
+        "request signature is its query's" true
+        (Analysis.Sig.equal r.Seller.signature (Analysis.Sig.of_ast q));
+      Alcotest.(check int)
+        "request size" (32 + String.length (Qt_sql.Ast.to_string q))
+        r.Seller.wire_bytes)
+    queries;
+  let check_sizes label offers =
+    Alcotest.(check bool) (label ^ ": some offers") true (offers <> []);
+    List.iter
+      (fun (o : Offer.t) ->
+        Alcotest.(check int)
+          (label ^ ": offer size")
+          (64 + String.length (Qt_sql.Ast.to_string o.Offer.query))
+          o.Offer.wire_bytes;
+        Alcotest.(check bool)
+          (label ^ ": offer signature") true
+          (Analysis.Sig.equal o.Offer.query_sig (Analysis.Sig.of_ast o.Offer.query)))
+      offers
+  in
+  let before = Seller.pool_stats caches in
+  check_sizes "fresh" (offers_of queries);
+  check_sizes "replayed" (offers_of queries);
+  let after = Seller.pool_stats caches in
+  Alcotest.(check bool)
+    "replay hit the bid cache" true
+    (after.Seller.hits > before.Seller.hits)
 
 (* A trade served from a warm shared pool must reproduce the cold trade
    exactly — the cache may only change who does the arithmetic. *)
@@ -199,6 +296,10 @@ let suite =
       quick "lockstep and fault-free DES agree" test_lockstep_des_parity;
       quick "bid cache replays offers" test_bid_cache_replays_offers;
       quick "bid cache invalidation" test_bid_cache_invalidation;
+      quick "fingerprint sees the last of 64 fragments"
+        test_fingerprint_sees_last_fragment;
+      quick "request and offer signatures and sizes"
+        test_signature_and_size_invariants;
       quick "warm trade identical to cold" test_warm_trade_identical;
       quick "same-round request dedup" test_request_dedup;
       quick "standing-offer memo skips re-broadcast" test_standing_offer_memo;
