@@ -126,9 +126,9 @@ let faults_arg =
     & info [ "faults" ] ~docv:"SPEC"
         ~doc:
           "Fault plan for the discrete-event runtime, comma-separated: \
-           crash:NODE\\@TIME[s] kills a node at a virtual time, drop:P loses \
+           crash:NODE@TIME[s] kills a node at a virtual time, drop:P loses \
            each message with probability P, jitter:T[s] adds uniform extra \
-           latency.  Example: crash:2\\@0.5s,drop:0.05.  Implies the \
+           latency.  Example: crash:2@0.5s,drop:0.05.  Implies the \
            asynchronous runtime.")
 
 let timeout_arg =

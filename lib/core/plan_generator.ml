@@ -8,7 +8,6 @@ module Cost = Qt_cost.Cost
 module Plan = Qt_optimizer.Plan
 module Dp = Qt_optimizer.Dp
 module Bitset = Qt_optimizer.Bitset
-module Pool = Qt_optimizer.Pool
 module Localize = Qt_rewrite.Localize
 module View_match = Qt_views.View_match
 
@@ -201,7 +200,8 @@ let piece_info schema q subset (o : Offer.t) =
       end
 
 (* Union blocks for a subset: group usable pieces by their restricted-alias
-   set and tile the group's target range with disjoint pieces. *)
+   set and tile the group's target range with disjoint pieces.  Each block
+   comes back as (restricted group, winning pieces, UNION ALL plan). *)
 let union_blocks weights schema q subset offers =
   let pieces =
     List.filter_map
@@ -210,7 +210,7 @@ let union_blocks weights schema q subset offers =
   in
   let by_group = Listx.group_by (fun (_, g, _, _) -> g) pieces in
   List.filter_map
-    (fun ((_ : string), group) ->
+    (fun (g, group) ->
       match group with
       | [] -> None
       | (_, _, _, target) :: _ ->
@@ -221,7 +221,7 @@ let union_blocks weights schema q subset offers =
           | Some winners when List.length winners > 1 ->
             let inputs = List.map (remote_of_offer weights) winners in
             let rows = Listx.sum_by (fun (o : Offer.t) -> o.props.rows) winners in
-            Some (Plan.Union { inputs; rows })
+            Some (g, winners, Plan.Union { inputs; rows })
           | Some _ | None -> None))
     by_group
 
@@ -229,60 +229,65 @@ let union_blocks weights schema q subset offers =
 (* Candidate generation                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let key subset = String.concat "|" (List.sort String.compare subset)
-
-(* Join predicates fully interned in [ctx], with their alias masks, in
-   WHERE order — the bitset equivalent of the legacy [connecting]
-   membership scans (a predicate referencing an alias outside the
-   universe can never be fully covered, so it is excluded up front). *)
-let connecting_preds ctx (q : Ast.t) =
-  List.filter_map
-    (fun p ->
-      let als = Analysis.predicate_aliases p in
-      if List.length als > 1 then
-        let rec mask_of acc = function
-          | [] -> Some acc
-          | a :: rest -> (
-            match Bitset.bit_opt ctx a with
-            | Some b -> mask_of (acc lor b) rest
-            | None -> None)
-        in
-        Option.map (fun m -> (p, m)) (mask_of 0 als)
-      else None)
-    q.Ast.where
+(* The block table: per alias subset that some offer answers, the cheapest
+   unit of remote work for it — one fully covering offer or a
+   partition-disjoint union — stored with its cost, as the enumeration's
+   seeded memo.  Offers are grouped by alias mask; a subset mentioning an
+   alias outside [ctx] could never be joined into the enumeration and is
+   skipped.  On cost ties the first block found stays. *)
+let blocks ~params ~weights ~schema ~ctx q offers =
+  let table : Dp.entry list Bitset.table = Bitset.table_create ctx in
+  let consider m plan =
+    let cost = Plan.cost params plan in
+    match Bitset.table_get table m with
+    | Some ((_, existing) :: _) when Cost.compare existing cost <= 0 -> ()
+    | Some _ | None -> Bitset.table_set table m [ (plan, cost) ]
+  in
+  let by_mask =
+    Listx.group_by fst
+      (List.filter_map
+         (fun (o : Offer.t) ->
+           Option.map (fun m -> (m, o)) (Bitset.of_list_opt ctx o.subset))
+         offers)
+  in
+  List.iter
+    (fun (m, group) ->
+      let group = List.map snd group in
+      let subset = Bitset.to_list ctx m in
+      List.iter
+        (fun (o : Offer.t) ->
+          if covers_fully schema q o subset then consider m (remote_of_offer weights o))
+        group;
+      List.iter
+        (fun (_, _, union) -> consider m union)
+        (union_blocks weights schema q subset group))
+    by_mask;
+  table
 
 let maybe_sort (q : Ast.t) plan =
   if q.order_by = [] || Plan.satisfies_order plan q.order_by then plan
   else Plan.Sort { input = plan; keys = q.order_by; rows = Plan.rows plan }
 
 let singleton_blocks ~params ~weights ~schema ~offers (q : Ast.t) =
+  let aliases = Analysis.aliases q in
+  let ctx = Bitset.make aliases in
   let singles =
     List.filter
       (fun (o : Offer.t) ->
         List.length o.subset = 1 && not (Analysis.has_aggregate o.query))
       offers
   in
+  let table = blocks ~params ~weights ~schema ~ctx q singles in
   List.filter_map
     (fun alias ->
-      let mine = List.filter (fun (o : Offer.t) -> o.subset = [ alias ]) singles in
-      let full =
-        List.filter_map
-          (fun (o : Offer.t) ->
-            if covers_fully schema q o [ alias ] then Some (remote_of_offer weights o)
-            else None)
-          mine
-      in
-      let unions = union_blocks weights schema q [ alias ] mine in
-      Option.map
-        (fun plan -> (alias, plan))
-        (Listx.min_by (fun p -> Cost.response (Plan.cost params p)) (full @ unions)))
-    (Analysis.aliases q)
+      match Bitset.table_get table (Bitset.bit ctx alias) with
+      | Some ((plan, _) :: _) -> Some (alias, plan)
+      | Some [] | None -> None)
+    aliases
 
 let generate ~params ~weights ~mode ~schema ~offers ?pool (q : Ast.t) =
   let aliases = Analysis.aliases q in
-  let n = List.length aliases in
   let ctx = Bitset.make aliases in
-  let abit a = Bitset.bit ctx a in
   let agg_shaped, spj_offers = List.partition (is_agg_shaped q) offers in
   (* --- direct final answers -------------------------------------- *)
   let full_subset = List.sort String.compare aliases in
@@ -311,117 +316,54 @@ let generate ~params ~weights ~mode ~schema ~offers ?pool (q : Ast.t) =
     match rollup_items q with
     | None -> []
     | Some _ ->
-      let pieces =
-        List.filter_map
-          (fun (o : Offer.t) ->
-            Option.map
-              (fun (g, c, t) -> (o, g, c, t))
-              (piece_info schema q full_subset o))
-          agg_shaped
-      in
-      let by_axis = Listx.group_by (fun (_, g, _, _) -> g) pieces in
-      List.filter_map
-        (fun (x, group) ->
-          match group with
-          | [] -> None
-          | (_, _, _, required) :: _ ->
-          if Interval.equal required Interval.full then None
-          else begin
-            let tiles = List.map (fun (o, _, c, _) -> (o, c)) group in
-            match tile weights ~required tiles with
-            | Some winners when List.length winners > 1 ->
-              let inputs = List.map (remote_of_offer weights) winners in
-              let union_rows =
-                Listx.sum_by (fun (o : Offer.t) -> o.props.rows) winners
-              in
-              let union = Plan.Union { inputs; rows = union_rows } in
-              let env = Estimate.env_of_schema schema q in
-              let out_rows = Estimate.output_rows env q in
-              let roll_select =
-                List.map
-                  (fun item ->
-                    match item with
-                    | Ast.Sel_col a -> Ast.Sel_col a
-                    | Ast.Sel_agg (f, _) -> (
-                      match rollup_agg f with
-                      | Some rolled ->
-                        Ast.Sel_agg
-                          ( rolled,
-                            Some { Ast.rel = ""; name = View_match.output_name item } )
-                      | None ->
-                        (* rollup_items q already excluded AVG. *)
-                        assert false))
-                  q.select
-              in
-              let rolled =
-                Plan.Aggregate
-                  { input = union; group_by = q.group_by; select = roll_select; rows = out_rows }
-              in
-              let plan = maybe_sort q rolled in
-              Some
-                {
-                  plan;
-                  cost = Plan.cost params plan;
-                  description =
-                    Printf.sprintf "two-phase-aggregate(%d pieces on %s)"
-                      (List.length winners) x;
-                }
-            | Some _ | None -> None
-          end)
-        by_axis
+      List.map
+        (fun (group, winners, union) ->
+          let env = Estimate.env_of_schema schema q in
+          let roll_select =
+            List.map
+              (fun item ->
+                match item with
+                | Ast.Sel_col a -> Ast.Sel_col a
+                | Ast.Sel_agg (f, _) -> (
+                  match rollup_agg f with
+                  | Some rolled ->
+                    Ast.Sel_agg
+                      (rolled, Some { Ast.rel = ""; name = View_match.output_name item })
+                  | None ->
+                    (* rollup_items q already excluded AVG. *)
+                    assert false))
+              q.select
+          in
+          let rolled =
+            Plan.Aggregate
+              {
+                input = union;
+                group_by = q.group_by;
+                select = roll_select;
+                rows = Estimate.output_rows env q;
+              }
+          in
+          let plan = maybe_sort q rolled in
+          {
+            plan;
+            cost = Plan.cost params plan;
+            description =
+              Printf.sprintf "two-phase-aggregate(%d pieces on %s)" (List.length winners)
+                group;
+          })
+        (union_blocks weights schema q full_subset agg_shaped)
   in
-  (* --- SPJ block table + join enumeration ------------------------- *)
-  let by_subset =
-    Listx.group_by (fun (o : Offer.t) -> key o.subset) spj_offers
-  in
-  (* Each block is stored with its cost: enumeration compares and prunes
-     blocks many times, and recosting a whole sub-plan per comparison is
-     where the generator used to spend its time.  Keys are alias bitsets
-     over the query's own universe; offer subsets mentioning a foreign
-     alias could never be joined into the enumeration anyway and are
-     skipped. *)
-  let block_table : (Plan.t * Cost.t) Bitset.table = Bitset.table_create ctx in
-  let mask_of subset =
-    List.fold_left
-      (fun acc a ->
-        match (acc, Bitset.bit_opt ctx a) with
-        | Some m, Some b -> Some (m lor b)
-        | _ -> None)
-      (Some 0) subset
-  in
-  let consider subset plan =
-    match mask_of subset with
-    | None -> ()
-    | Some m -> (
-      let cost = Plan.cost params plan in
-      match Bitset.table_get block_table m with
-      | Some (_, existing) when Cost.compare existing cost <= 0 -> ()
-      | Some _ | None -> Bitset.table_set block_table m (plan, cost))
-  in
-  List.iter
-    (fun (_, group) ->
-      match group with
-      | [] -> ()
-      | (first : Offer.t) :: _ ->
-        let subset = first.subset in
-        (* Blocks from single fully-covering offers. *)
-        List.iter
-          (fun (o : Offer.t) ->
-            if covers_fully schema q o subset then
-              consider subset (remote_of_offer weights o))
-          group;
-        (* Blocks from partition-disjoint unions. *)
-        List.iter (consider subset) (union_blocks weights schema q subset group))
-    by_subset;
+  (* --- SPJ blocks joined by the shared enumerator ------------------ *)
+  let memo = blocks ~params ~weights ~schema ~ctx q spj_offers in
   (* Estimation environment for join results: singleton block rows where
      known, schema cardinalities otherwise. *)
   let env =
     let base_rows =
       List.map
         (fun alias ->
-          match Bitset.table_get block_table (abit alias) with
-          | Some (plan, _) -> (alias, Plan.rows plan)
-          | None -> (
+          match Bitset.table_get memo (Bitset.bit ctx alias) with
+          | Some ((plan, _) :: _) -> (alias, Plan.rows plan)
+          | Some [] | None -> (
             match Analysis.relation_of_alias q alias with
             | Some rel -> (
               match Schema.find_relation schema rel with
@@ -442,107 +384,14 @@ let generate ~params ~weights ~mode ~schema ~offers ?pool (q : Ast.t) =
     Estimate.env_of_fragments ~key_ranges schema q base_rows
   in
   let prune = match mode with Mode_dp -> None | Mode_idp (k, m) -> Some (k, m) in
-  let conn_preds = connecting_preds ctx q in
-  let adj = Bitset.adjacency ctx (List.map Analysis.predicate_aliases q.Ast.where) in
-  let from_bits = List.map abit aliases in
-  (* Best plan for one subset: the pre-built block (one offer or a union)
-     competes against every join split of smaller blocks.  Reads only
-     strictly smaller memo entries plus its own pre-installed block, so a
-     level's subsets can be computed concurrently; results are merged in
-     enumeration order to stay byte-identical at any domain count. *)
-  let compute_subset smask =
-    let first_bit = Bitset.lowest_bit smask in
-    let rest_mask = smask land lnot first_bit in
-    let out_rows = lazy (Estimate.subset_rows env q (Bitset.to_list ctx smask)) in
-    let candidates = ref [] in
-    (match Bitset.table_get block_table smask with
-    | Some block -> candidates := [ block ]
-    | None -> ());
-    List.iter
-      (fun right ->
-        let left = smask land lnot right in
-        match (Bitset.table_get block_table left, Bitset.table_get block_table right) with
-        | Some (lp, _), Some (rp, _) ->
-          let preds =
-            List.filter_map
-              (fun (p, pm) ->
-                if pm land left <> 0 && pm land right <> 0 && pm land lnot smask = 0
-                then Some p
-                else None)
-              conn_preds
-          in
-          if preds <> [] then begin
-            let out_rows = Lazy.force out_rows in
-            let hash_build, hash_probe =
-              if Plan.rows lp <= Plan.rows rp then (lp, rp) else (rp, lp)
-            in
-            let costed plan = (plan, Plan.cost params plan) in
-            candidates :=
-              costed
-                (Plan.Join
-                   { algo = Plan.Hash; build = hash_build;
-                     probe = hash_probe; preds; rows = out_rows })
-              :: costed
-                   (Plan.Join
-                      { algo = Plan.Sort_merge; build = lp; probe = rp;
-                        preds; rows = out_rows })
-              :: !candidates
-          end
-        | None, _ | _, None -> ())
-      (Bitset.nonempty_submasks rest_mask);
-    Option.map
-      (fun best -> (smask, best))
-      (Listx.min_by (fun (_, c) -> Cost.response c) !candidates)
+  let (_ : int list list) =
+    Dp.enumerate ~ctx ~env ?prune ?pool ~cost:(Plan.cost params)
+      ~keep:Dp.keep_cheapest ~memo q
   in
-  let levels : (int, int list) Hashtbl.t = Hashtbl.create 8 in
-  Hashtbl.replace levels 1
-    (List.filter (fun a -> Bitset.table_get block_table (abit a) <> None) aliases
-    |> List.map abit);
-  for size = 2 to n do
-    let subsets =
-      List.filter (Bitset.connected adj) (Bitset.subsets_of_size size from_bits)
-    in
-    let computed =
-      match pool with
-      | Some p when Pool.domains p > 1 && List.length subsets > 1 ->
-        Array.to_list (Pool.map p compute_subset (Array.of_list subsets))
-      | Some _ | None -> List.map compute_subset subsets
-    in
-    let built =
-      List.filter_map
-        (function
-          | None -> None
-          | Some (smask, best) ->
-            Bitset.table_set block_table smask best;
-            Some smask)
-        computed
-    in
-    Hashtbl.replace levels size built;
-    match prune with
-    | Some (k, m) when size = k && List.length built > m ->
-      let cost_of smask =
-        match Bitset.table_get block_table smask with
-        | Some (_, c) -> c
-        | None -> Cost.make ~net:infinity ()
-      in
-      let ranked =
-        List.sort (fun a b -> Cost.compare (cost_of a) (cost_of b)) built
-      in
-      let keep = Listx.take m ranked in
-      let keep_set = Hashtbl.create (2 * m) in
-      List.iter (fun s -> Hashtbl.replace keep_set s ()) keep;
-      List.iter
-        (fun smask ->
-          if not (Hashtbl.mem keep_set smask) then
-            Bitset.table_remove block_table smask)
-        built;
-      Hashtbl.replace levels size keep
-    | Some _ | None -> ()
-  done;
   let joined_candidate =
-    match Bitset.table_get block_table (Bitset.full ctx) with
-    | None -> []
-    | Some (plan, _) ->
+    match Bitset.table_get memo (Bitset.full ctx) with
+    | None | Some [] -> []
+    | Some ((plan, _) :: _) ->
       let finalized = Dp.finalize ~params ~env q plan in
       [
         {

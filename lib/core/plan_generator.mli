@@ -17,8 +17,14 @@
       range-restricted) are unioned and topped with a roll-up aggregation
       — SUMs of partial SUMs, SUMs of partial COUNTs, MINs of MINs.
 
-    Join enumeration over blocks is either exhaustive DP or IDP(k, m)
-    (IDP-M(2,5) in the paper's experiments), chosen by [mode]. *)
+    Single and union blocks are built once per alias subset into one block
+    table, which seeds the memo of the seller's own enumerator
+    ({!Qt_optimizer.Dp.enumerate}): a pre-built block competes with every
+    join split of smaller blocks, and joins follow the same algorithm rule
+    as the seller's (nested loop unless an equality conjunct crosses the
+    inputs).  Enumeration is either exhaustive DP or IDP(k, m) (IDP-M(2,5)
+    in the paper's experiments), chosen by [mode]; the buyer keeps only
+    the cheapest plan per subset. *)
 
 type mode = Mode_dp | Mode_idp of int * int
 
@@ -50,7 +56,8 @@ val singleton_blocks :
   Qt_sql.Ast.t ->
   (string * Qt_optimizer.Plan.t) list
 (** Cheapest fully-covering access block per alias (one offer or a
-    partition-disjoint union), from single-alias offers only.  Used by the
+    partition-disjoint union), from single-alias offers only — a read of
+    the same block table {!generate} enumerates over.  Used by the
     two-step baseline, which fixes the join order first and only then
     chooses data sources. *)
 

@@ -22,7 +22,6 @@ type config = {
   load : float;
   max_offers_per_request : int;
   use_views : bool;
-  local_prune : (int * int) option;
   offer_overhead : float;
   price_per_mb : float;
   pool : Qt_optimizer.Pool.t option;
@@ -53,7 +52,6 @@ let default_config params =
     load = 0.;
     max_offers_per_request = 24;
     use_views = true;
-    local_prune = None;
     offer_overhead = 5e-4;
     price_per_mb = 0.;
     pool = None;
@@ -426,12 +424,11 @@ let price_request config schema (node : Node.t) ~request ~request_sig
           let dp =
             if config.legacy_dp then
               Qt_optimizer.Dp_legacy.optimize ~params:config.params
-                ~cpu_factor:node.cpu_factor ~io_factor:node.io_factor
-                ?prune:config.local_prune ~env ~base variant.query
+                ~cpu_factor:node.cpu_factor ~io_factor:node.io_factor ~env ~base
+                variant.query
             else
               Dp.optimize ~params:config.params ~cpu_factor:node.cpu_factor
-                ~io_factor:node.io_factor ?prune:config.local_prune
-                ?pool:config.pool ~env ~base variant.query
+                ~io_factor:node.io_factor ?pool:config.pool ~env ~base variant.query
           in
           let candidates =
             dp.partials
@@ -556,7 +553,6 @@ type cache_entry = {
   e_price_per_mb : float;
   e_use_views : bool;
   e_max_offers : int;
-  e_prune : (int * int) option;
   e_params : Qt_cost.Params.t;
   e_pricing : Pricing.quote option;  (** Pricing view at pricing time. *)
   e_catalog : int;  (** Catalog fingerprint at pricing time. *)
@@ -588,7 +584,6 @@ let entry_valid config ~fingerprint e =
   && e.e_price_per_mb = config.price_per_mb
   && e.e_use_views = config.use_views
   && e.e_max_offers = config.max_offers_per_request
-  && e.e_prune = config.local_prune
   && e.e_params = config.params
   && e.e_catalog = fingerprint
 
@@ -648,7 +643,6 @@ let respond ?cache config schema (node : Node.t) ~requests =
             e_price_per_mb = config.price_per_mb;
             e_use_views = config.use_views;
             e_max_offers = config.max_offers_per_request;
-            e_prune = config.local_prune;
             e_params = config.params;
             e_pricing = config.pricing;
             e_catalog = fingerprint;

@@ -21,9 +21,6 @@ type config = {
   load : float;  (** Current load of the node (0 = idle). *)
   max_offers_per_request : int;
   use_views : bool;
-  local_prune : (int * int) option;
-      (** IDP(k,m) pruning for the seller's own optimizer, for very large
-          requests. *)
   offer_overhead : float;
       (** Simulated seconds of seller CPU per offer constructed — the cost
           of running the seller-side machinery, charged to the

@@ -32,6 +32,14 @@ let bit_opt ctx alias =
 
 let of_list ctx aliases = List.fold_left (fun m a -> m lor bit ctx a) 0 aliases
 
+let of_list_opt ctx aliases =
+  List.fold_left
+    (fun acc a ->
+      match (acc, bit_opt ctx a) with
+      | Some m, Some b -> Some (m lor b)
+      | (Some _ | None), _ -> None)
+    (Some 0) aliases
+
 (* Members in ascending bit order = ascending alias order: the result is
    already what [List.sort String.compare subset] produced. *)
 let to_list ctx mask =

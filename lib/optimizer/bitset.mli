@@ -23,6 +23,9 @@ val bit : ctx -> string -> int
 val bit_opt : ctx -> string -> int option
 val of_list : ctx -> string list -> int
 
+val of_list_opt : ctx -> string list -> int option
+(** [None] when some alias is not interned. *)
+
 val to_list : ctx -> int -> string list
 (** Members of a mask in ascending alias order (pre-sorted). *)
 

@@ -15,6 +15,8 @@ type partial = {
 
 type result = { partials : partial list; best : partial option }
 
+type entry = Plan.t * Cost.t
+
 (* Top-level query semantics on top of a joined-rows plan.  The final Sort
    is skipped when the plan's output order already satisfies the ORDER BY
    (interesting orders). *)
@@ -57,10 +59,138 @@ let algos_for preds =
   in
   if has_eq then [ Plan.Hash; Plan.Sort_merge ] else [ Plan.Nested_loop ]
 
+let keep_cheapest candidates =
+  Option.to_list (Listx.min_by (fun (_, c) -> Cost.response c) candidates)
+
+(* The seller's memo slots: the cheapest plan and, when that one is
+   unordered, the cheapest plan with a sorted output, kept because a
+   downstream merge join or ORDER BY may redeem its extra cost. *)
+let keep_cheapest_and_ordered candidates =
+  match keep_cheapest candidates with
+  | [ (best_plan, _) ] as best when Plan.output_order best_plan = [] ->
+    best
+    @ keep_cheapest (List.filter (fun (p, _) -> Plan.output_order p <> []) candidates)
+  | kept -> kept
+
+let enumerate ~ctx ~env ?prune ?pool ~cost ~keep ~(memo : entry list Bitset.table)
+    (q : Ast.t) =
+  let from_bits = List.filter_map (Bitset.bit_opt ctx) (Analysis.aliases q) in
+  (* Join predicates with every referenced alias interned, paired with
+     their alias masks, in WHERE order.  A predicate mentioning an alias
+     outside the universe can never be fully covered by a subset of it,
+     so it is excluded up front. *)
+  let conn_preds =
+    List.filter_map
+      (fun p ->
+        let als = Analysis.predicate_aliases p in
+        if List.length als > 1 then
+          Option.map (fun m -> (p, m)) (Bitset.of_list_opt ctx als)
+        else None)
+      q.where
+  in
+  let adj = Bitset.adjacency ctx (List.map Analysis.predicate_aliases q.where) in
+  let connecting left right union =
+    List.filter_map
+      (fun (p, pm) ->
+        if pm land left <> 0 && pm land right <> 0 && pm land lnot union = 0 then
+          Some p
+        else None)
+      conn_preds
+  in
+  let inputs mask = Option.value ~default:[] (Bitset.table_get memo mask) in
+  (* Alternatives for one subset: its seeded entries (a buyer's pre-built
+     block) plus every join split of smaller memo entries.  Reads only
+     strictly smaller entries and its own seed, so all subsets of one
+     level can be computed concurrently; the caller merges results in
+     enumeration order, which keeps output byte-identical at any domain
+     count. *)
+  let compute_subset smask =
+    let rest_mask = smask land lnot (Bitset.lowest_bit smask) in
+    let out_rows = lazy (Estimate.subset_rows env q (Bitset.to_list ctx smask)) in
+    let candidates = ref (inputs smask) in
+    List.iter
+      (fun right ->
+        let left = smask land lnot right in
+        match (inputs left, inputs right) with
+        | [], _ | _, [] -> ()
+        | lefts, rights ->
+          let preds = connecting left right smask in
+          if preds <> [] then begin
+            let out_rows = Lazy.force out_rows in
+            let algos = algos_for preds in
+            List.iter
+              (fun (lp, _) ->
+                List.iter
+                  (fun (rp, _) ->
+                    List.iter
+                      (fun algo ->
+                        let build, probe =
+                          match algo with
+                          | Plan.Hash when Plan.rows lp > Plan.rows rp -> (rp, lp)
+                          | Plan.Hash | Plan.Sort_merge | Plan.Nested_loop -> (lp, rp)
+                        in
+                        let plan = Plan.Join { algo; build; probe; preds; rows = out_rows } in
+                        candidates := (plan, cost plan) :: !candidates)
+                      algos)
+                  rights)
+              lefts
+          end)
+      (Bitset.nonempty_submasks rest_mask);
+    keep !candidates
+  in
+  let level1 = List.filter (fun b -> Bitset.table_get memo b <> None) from_bits in
+  let levels = ref [ level1 ] in
+  for size = 2 to List.length from_bits do
+    let subsets =
+      List.filter (Bitset.connected adj) (Bitset.subsets_of_size size from_bits)
+    in
+    let computed =
+      match pool with
+      | Some p when Pool.domains p > 1 && List.length subsets > 1 ->
+        Array.to_list (Pool.map p compute_subset (Array.of_list subsets))
+      | Some _ | None -> List.map compute_subset subsets
+    in
+    let built =
+      List.rev
+        (List.fold_left2
+           (fun acc smask kept ->
+             match kept with
+             | [] -> acc
+             | _ :: _ ->
+               Bitset.table_set memo smask kept;
+               smask :: acc)
+           [] subsets computed)
+    in
+    (* IDP(k,m): at level k, retain only the m cheapest sub-plans. *)
+    let kept =
+      match prune with
+      | Some (k, m) when size = k && List.length built > m ->
+        let response_of smask =
+          match Bitset.table_get memo smask with
+          | Some ((_, c) :: _) -> Cost.response c
+          | Some [] | None -> infinity
+        in
+        let ranked =
+          List.sort (fun a b -> Float.compare (response_of a) (response_of b)) built
+        in
+        let survivors = Listx.take m ranked in
+        let survivor_set = Hashtbl.create (2 * m) in
+        List.iter (fun s -> Hashtbl.replace survivor_set s ()) survivors;
+        List.iter
+          (fun smask ->
+            if not (Hashtbl.mem survivor_set smask) then Bitset.table_remove memo smask)
+          built;
+        survivors
+      | Some _ | None -> built
+    in
+    levels := kept :: !levels
+  done;
+  List.rev !levels
+
 let optimize ~params ?(cpu_factor = 1.0) ?(io_factor = 1.0) ?prune ?pool ~env
     ~(base : string -> Plan.t option) (q : Ast.t) =
   let aliases = Analysis.aliases q in
-  let plan_cost p = Plan.cost params ~cpu_factor ~io_factor p in
+  let cost p = Plan.cost params ~cpu_factor ~io_factor p in
   (* Level 1: access path plus local selections. *)
   let level1 =
     List.filter_map
@@ -79,166 +209,21 @@ let optimize ~params ?(cpu_factor = 1.0) ?(io_factor = 1.0) ?prune ?pool ~env
           Some (alias, plan))
       aliases
   in
-  let available = List.map fst level1 in
-  let n = List.length available in
   (* Alias universe interned once: subsets, memo keys and predicate
      coverage all become machine-word bit operations from here on. *)
-  let ctx = Bitset.make available in
-  let abit a = Bitset.bit ctx a in
-  (* Join predicates with every referenced alias available, paired with
-     their alias masks, in WHERE order.  A predicate mentioning an
-     unavailable alias can never be fully covered by a subset of the
-     available aliases, so it is excluded up front — exactly what the
-     legacy [for_all mem] test decided per probe. *)
-  let conn_preds =
-    List.filter_map
-      (fun p ->
-        let als = Analysis.predicate_aliases p in
-        if List.length als > 1 then
-          let rec mask_of acc = function
-            | [] -> Some acc
-            | a :: rest -> (
-              match Bitset.bit_opt ctx a with
-              | Some b -> mask_of (acc lor b) rest
-              | None -> None)
-          in
-          Option.map (fun m -> (p, m)) (mask_of 0 als)
-        else None)
-      q.where
-  in
-  let adj = Bitset.adjacency ctx (List.map Analysis.predicate_aliases q.where) in
-  (* Two memo slots per subset, each carrying the plan's cost so neither
-     candidate selection nor IDP pruning ever re-derives [Plan.cost]: the
-     cheapest plan, and (when different and not dominated) the cheapest
-     plan with a sorted output, kept because a downstream merge join or
-     ORDER BY may redeem its extra cost. *)
-  let table : (Plan.t * Cost.t) Bitset.table = Bitset.table_create ctx in
-  let ordered : (Plan.t * Cost.t) Bitset.table = Bitset.table_create ctx in
+  let ctx = Bitset.make (List.map fst level1) in
+  let memo = Bitset.table_create ctx in
   List.iter
-    (fun (alias, plan) -> Bitset.table_set table (abit alias) (plan, plan_cost plan))
+    (fun (alias, plan) ->
+      Bitset.table_set memo (Bitset.bit ctx alias) [ (plan, cost plan) ])
     level1;
-  let connecting left right union =
-    List.filter_map
-      (fun (p, pm) ->
-        if pm land left <> 0 && pm land right <> 0 && pm land lnot union = 0 then
-          Some p
-        else None)
-      conn_preds
+  let levels =
+    enumerate ~ctx ~env ?prune ?pool ~cost ~keep:keep_cheapest_and_ordered ~memo q
   in
-  let inputs_for mask =
-    match (Bitset.table_get table mask, Bitset.table_get ordered mask) with
-    | Some a, Some b -> [ a; b ]
-    | Some a, None -> [ a ]
-    | None, Some b -> [ b ]
-    | None, None -> []
-  in
-  (* Build the best (and best-ordered) plan for one subset.  Reads only
-     strictly smaller memo entries, so all subsets of one level can be
-     computed concurrently; the caller merges results in enumeration
-     order, which keeps output byte-identical at any domain count. *)
-  let compute_subset smask =
-    let sorted_subset = Bitset.to_list ctx smask in
-    let first_bit = Bitset.lowest_bit smask in
-    let rest_mask = smask land lnot first_bit in
-    let out_rows = lazy (Estimate.subset_rows env q sorted_subset) in
-    let candidates = ref [] in
-    List.iter
-      (fun right ->
-        let left = smask land lnot right in
-        let preds = connecting left right smask in
-        if preds <> [] then begin
-          let out_rows = Lazy.force out_rows in
-          List.iter
-            (fun (lp, _) ->
-              List.iter
-                (fun (rp, _) ->
-                  List.iter
-                    (fun algo ->
-                      let build, probe =
-                        match algo with
-                        | Plan.Hash ->
-                          if Plan.rows lp <= Plan.rows rp then (lp, rp)
-                          else (rp, lp)
-                        | Plan.Sort_merge | Plan.Nested_loop -> (lp, rp)
-                      in
-                      let plan =
-                        Plan.Join { algo; build; probe; preds; rows = out_rows }
-                      in
-                      candidates := (plan, plan_cost plan) :: !candidates)
-                    (algos_for preds))
-                (inputs_for right))
-            (inputs_for left)
-        end)
-      (Bitset.nonempty_submasks rest_mask);
-    match Listx.min_by (fun (_, c) -> Cost.response c) !candidates with
-    | Some (best_plan, _ as best) ->
-      (* Retain the cheapest order-producing alternative when the overall
-         winner is unordered. *)
-      let ordered_candidates =
-        List.filter (fun (p, _) -> Plan.output_order p <> []) !candidates
-      in
-      let ord =
-        match Listx.min_by (fun (_, c) -> Cost.response c) ordered_candidates with
-        | Some op when Plan.output_order best_plan = [] -> Some op
-        | Some _ | None -> None
-      in
-      Some (smask, best, ord)
-    | None -> None
-  in
-  let levels : (int, int list) Hashtbl.t = Hashtbl.create 8 in
-  Hashtbl.replace levels 1 (List.map abit available);
-  let from_bits = List.map abit available in
-  for size = 2 to n do
-    let subsets =
-      List.filter (Bitset.connected adj) (Bitset.subsets_of_size size from_bits)
-    in
-    let computed =
-      match pool with
-      | Some p when Pool.domains p > 1 && List.length subsets > 1 ->
-        Array.to_list (Pool.map p compute_subset (Array.of_list subsets))
-      | Some _ | None -> List.map compute_subset subsets
-    in
-    let built =
-      List.filter_map
-        (function
-          | None -> None
-          | Some (smask, best, ord) ->
-            Bitset.table_set table smask best;
-            (match ord with
-            | Some op -> Bitset.table_set ordered smask op
-            | None -> Bitset.table_remove ordered smask);
-            Some smask)
-        computed
-    in
-    Hashtbl.replace levels size built;
-    (* IDP(k,m): at level k, retain only the m cheapest sub-plans. *)
-    (match prune with
-    | Some (k, m) when size = k && List.length built > m ->
-      let response_of smask =
-        match Bitset.table_get table smask with
-        | Some (_, c) -> Cost.response c
-        | None -> infinity
-      in
-      let ranked =
-        List.sort (fun a b -> Float.compare (response_of a) (response_of b)) built
-      in
-      let keep = Listx.take m ranked in
-      let keep_set = Hashtbl.create (2 * m) in
-      List.iter (fun s -> Hashtbl.replace keep_set s ()) keep;
-      List.iter
-        (fun smask ->
-          if not (Hashtbl.mem keep_set smask) then begin
-            Bitset.table_remove table smask;
-            Bitset.table_remove ordered smask
-          end)
-        built;
-      Hashtbl.replace levels size keep
-    | Some _ | None -> ())
-  done;
   let partial_of smask =
-    match Bitset.table_get table smask with
-    | None -> None
-    | Some (plan, _) ->
+    match Bitset.table_get memo smask with
+    | None | Some [] -> None
+    | Some ((plan, _) :: _) ->
       let subset = Bitset.to_list ctx smask in
       let restricted = Analysis.restrict q subset in
       let projected =
@@ -251,25 +236,15 @@ let optimize ~params ?(cpu_factor = 1.0) ?(io_factor = 1.0) ?prune ?pool ~env
           query = restricted;
           plan = projected;
           rows = Plan.rows projected;
-          cost = plan_cost projected;
+          cost = cost projected;
         }
   in
-  let partials =
-    List.concat_map
-      (fun size ->
-        match Hashtbl.find_opt levels size with
-        | None -> []
-        | Some subsets -> List.filter_map partial_of subsets)
-      (Listx.range 1 n)
-  in
+  let partials = List.concat_map (List.filter_map partial_of) levels in
   let best =
-    if List.length available <> List.length aliases || n = 0 then None
+    if List.length level1 <> List.length aliases || level1 = [] then None
     else
-      let finalized =
-        List.map
-          (fun (plan, _) -> finalize ~params ~cpu_factor ~io_factor ~env q plan)
-          (inputs_for (Bitset.full ctx))
-      in
-      Listx.min_by (fun p -> Cost.response p.cost) finalized
+      Option.value ~default:[] (Bitset.table_get memo (Bitset.full ctx))
+      |> List.map (fun (plan, _) -> finalize ~params ~cpu_factor ~io_factor ~env q plan)
+      |> Listx.min_by (fun p -> Cost.response p.cost)
   in
   { partials; best }

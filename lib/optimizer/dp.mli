@@ -10,6 +10,13 @@
       built from the survivors.  [IDP-M(2,5)] is the variant the paper
       names for the buyer plan generator.
 
+    One enumerator, {!enumerate}, serves both sides of a trade: the
+    seller's local optimizer ({!optimize}) seeds it with access paths, and
+    the buyer plan generator ([Qt_core.Plan_generator]) seeds it with the
+    blocks of remote work it bought.  The enumerator owns everything the
+    two share: connecting-predicate masks, the level loop, pool dispatch,
+    IDP pruning and the join-algorithm rule ({!algos_for}).
+
     The enumeration core runs on interned alias bitsets ({!Bitset}):
     subset connectivity, predicate coverage and memo probes are
     machine-word bit operations, and levels can be enumerated in parallel
@@ -40,6 +47,39 @@ type result = {
           some alias has no access path or the join graph is
           disconnected. *)
 }
+
+type entry = Plan.t * Qt_cost.Cost.t
+(** A memo alternative: a plan with its cost, so neither candidate
+    selection nor IDP pruning ever re-derives [Plan.cost]. *)
+
+val enumerate :
+  ctx:Bitset.ctx ->
+  env:Qt_stats.Estimate.env ->
+  ?prune:int * int ->
+  ?pool:Pool.t ->
+  cost:(Plan.t -> Qt_cost.Cost.t) ->
+  keep:(entry list -> entry list) ->
+  memo:entry list Bitset.table ->
+  Qt_sql.Ast.t ->
+  int list list
+(** Bottom-up join enumeration over the aliases of the query interned in
+    [ctx], in [Analysis.aliases] order.  [memo] arrives seeded with the
+    leaves; entries seeded on larger subsets (the buyer's multi-alias
+    blocks) compete with every join split of that subset.  For each
+    connected subset, level by level, the candidates are its seeded
+    entries plus every join of a left and a right memo entry that some
+    predicate connects, with the join algorithms {!algos_for} allows;
+    [keep] picks the alternatives stored back (cheapest first — the head
+    is what IDP ranks and what callers read as the subset's plan).
+    [prune = (k, m)] enables IDP(k,m); [pool] computes each level's
+    subsets in parallel with identical results, so [cost] and [keep] run
+    on pool domains and must not touch shared state.  Returns the subsets
+    kept per level, level 1 first: enumeration order, except that a
+    pruned level is listed cheapest first. *)
+
+val keep_cheapest : entry list -> entry list
+(** The cheapest alternative by response time (first on ties), or none.
+    The buyer's [keep]. *)
 
 val optimize :
   params:Qt_cost.Params.t ->

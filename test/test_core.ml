@@ -233,6 +233,56 @@ let test_plan_generator_union_is_disjoint () =
   in
   List.iter (fun c -> check_unions c.Plan_generator.plan) candidates
 
+(* Hash and merge joins need an equality conjunct across the two inputs;
+   the buyer must fall back to a nested loop on a theta join exactly as
+   the seller's optimizer does, never plan a hash join it would silently
+   run as a filtered cartesian product. *)
+let test_plan_generator_theta_join_nested_loop () =
+  let q =
+    parse
+      "SELECT c.custname, i.charge FROM customer c, invoiceline i WHERE c.office < \
+       i.linenum AND c.custid BETWEEN 0 AND 50"
+  in
+  let has_cross_eq =
+    List.exists (function
+      | Ast.Cmp (Ast.Eq, Ast.Col a, Ast.Col b) -> a.Ast.rel <> b.Ast.rel
+      | Ast.Cmp _ | Ast.Between _ -> false)
+  in
+  let joins = ref 0 in
+  let rec check plan =
+    match plan with
+    | Plan.Join { algo; preds; build; probe; _ } ->
+      incr joins;
+      (match algo with
+      | (Plan.Hash | Plan.Sort_merge) when not (has_cross_eq preds) ->
+        Alcotest.failf "%s join without an equality conjunct:@.%s"
+          (if algo = Plan.Hash then "hash" else "merge")
+          (Format.asprintf "%a" Plan.pp plan)
+      | Plan.Hash | Plan.Sort_merge | Plan.Nested_loop -> ());
+      check build;
+      check probe
+    | Plan.Filter { input; _ }
+    | Plan.Project { input; _ }
+    | Plan.Sort { input; _ }
+    | Plan.Aggregate { input; _ }
+    | Plan.Distinct { input; _ } ->
+      check input
+    | Plan.Union { inputs; _ } -> List.iter check inputs
+    | Plan.Scan _ | Plan.Remote _ -> ()
+  in
+  let offers = collect_offers q in
+  List.iter
+    (fun mode ->
+      List.iter
+        (fun c -> check c.Plan_generator.plan)
+        (Plan_generator.generate ~params ~weights:Offer.default_weights ~mode ~schema
+           ~offers q))
+    [ Plan_generator.Mode_dp; Plan_generator.Mode_idp (2, 5) ];
+  (match Trader.optimize (Trader.default_config params) federation q with
+  | Ok o -> check o.Trader.plan
+  | Error e -> Alcotest.failf "theta join not optimized: %s" e);
+  Alcotest.(check bool) "some plan joins at the buyer" true (!joins > 0)
+
 let test_rollup_items () =
   Alcotest.(check bool) "sum rolls" true (Plan_generator.rollup_items revenue <> None);
   let avg = parse "SELECT AVG(il.charge) FROM invoiceline il" in
@@ -846,6 +896,8 @@ let suite =
       quick "plan generator covers" test_plan_generator_covers_query;
       quick "plan generator empty" test_plan_generator_empty_offers;
       quick "plan generator unions disjoint" test_plan_generator_union_is_disjoint;
+      quick "plan generator theta join uses nested loop"
+        test_plan_generator_theta_join_nested_loop;
       quick "rollup items" test_rollup_items;
       quick "singleton blocks" test_singleton_blocks;
       quick "analyser proposes pieces" test_analyser_proposes_agg_pieces;

@@ -22,6 +22,7 @@ module Listx = Qt_util.Listx
 module Interval = Qt_util.Interval
 module Trader = Qt_core.Trader
 module Seller = Qt_core.Seller
+module Plan_generator = Qt_core.Plan_generator
 module Market = Qt_market.Market
 module Workload = Qt_sim.Workload
 module Generator = Qt_sim.Generator
@@ -188,16 +189,15 @@ let oracle_queries () =
       ~placement:{ Generator.partitions = 2; replicas = 1 }
       ()
   in
-  let chain_schema = chain_feds.Qt_catalog.Federation.schema in
   let telecom = Helpers.telecom_federation () in
-  let telecom_schema = telecom.Qt_catalog.Federation.schema in
-  List.map (fun q -> (chain_schema, q))
+  List.map (fun q -> (chain_feds, q))
     (Workload.random_chain_queries ~seed:7 ~count:12 ~relations:5 ~max_joins:4)
-  @ List.map (fun q -> (telecom_schema, q)) (Workload.telecom_templates ~seed:5 ~count:8)
+  @ List.map (fun q -> (telecom, q)) (Workload.telecom_templates ~seed:5 ~count:8)
 
 let test_dp_matches_legacy prune () =
   List.iter
-    (fun (schema, q) ->
+    (fun ((fed : Qt_catalog.Federation.t), q) ->
+      let schema = fed.schema in
       let env = Estimate.env_of_schema schema q in
       let base = scan_base schema q in
       let legacy = Dp_legacy.optimize ~params ?prune ~env ~base q in
@@ -208,13 +208,57 @@ let test_dp_matches_legacy prune () =
 let test_dp_pool_matches_serial () =
   with_pool 4 @@ fun pool ->
   List.iter
-    (fun (schema, q) ->
+    (fun ((fed : Qt_catalog.Federation.t), q) ->
+      let schema = fed.schema in
       let env = Estimate.env_of_schema schema q in
       let base = scan_base schema q in
       let serial = Dp.optimize ~params ~env ~base q in
       let pooled = Dp.optimize ~params ~pool ~env ~base q in
       check_same_result q serial pooled)
     (oracle_queries ())
+
+(* The buyer runs the same enumerator over its traded blocks: IDP-M(2,5)
+   on a pool must return the serial candidate list.  On top of the oracle
+   queries, a six-relation TPC-H join has more connected pairs than the
+   five IDP keeps, so the pruned path runs too. *)
+let test_plan_generator_idp_pool_matches_serial () =
+  let tpch = Generator.tpch ~nodes:4 () in
+  let six_way =
+    Qt_sql.Parser.parse
+      "SELECT c.custkey, l.quantity FROM region r, nation n, customer c, orders \
+       o, lineitem l, supplier s WHERE r.regionkey = n.regionkey AND n.nationkey \
+       = c.nationkey AND c.custkey = o.custkey AND o.orderkey = l.orderkey AND \
+       l.suppkey = s.suppkey AND s.nationkey = n.nationkey"
+  in
+  let pp (c : Plan_generator.candidate) =
+    Format.asprintf "%s resp=%.6f@.%a" c.description (Cost.response c.cost) Plan.pp
+      c.plan
+  in
+  let planned = ref 0 in
+  with_pool 2 @@ fun pool ->
+  List.iter
+    (fun ((fed : Qt_catalog.Federation.t), q) ->
+      let offers =
+        List.concat_map
+          (fun node ->
+            (Seller.respond (Seller.default_config params) fed.schema node
+               ~requests:[ Seller.request q ])
+              .Seller.offers)
+          fed.nodes
+      in
+      let generate ?pool () =
+        List.map pp
+          (Plan_generator.generate ~params ~weights:Qt_core.Offer.default_weights
+             ~mode:(Plan_generator.Mode_idp (2, 5)) ~schema:fed.schema ~offers ?pool q)
+      in
+      let serial = generate () in
+      if serial <> [] then incr planned;
+      Alcotest.(check (list string))
+        ("IDP-M(2,5) candidates: " ^ Analysis.to_string q)
+        serial (generate ~pool ()))
+    (oracle_queries () @ [ (tpch, six_way) ]);
+  (* Telecom templates may slice keys this federation does not hold. *)
+  Alcotest.(check bool) "most queries planned" true (!planned > 10)
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end parity: optimize / market / stream at domains 1/2/4       *)
@@ -326,6 +370,8 @@ let suite =
       quick "DP oracle: bitset matches legacy (IDP 2,5)"
         (test_dp_matches_legacy (Some (2, 5)));
       quick "DP parity: pooled matches serial" test_dp_pool_matches_serial;
+      quick "buyer IDP parity: pooled matches serial"
+        test_plan_generator_idp_pool_matches_serial;
       quick "trader parity across domains" test_trader_parity;
       quick "market parity across domains" test_market_parity;
       quick "stream parity across domains" test_stream_parity;
