@@ -12,7 +12,7 @@ type v =
   | B of bool
   | Raw of string  (* pre-rendered JSON, e.g. Market.to_json *)
 
-let quote s = Printf.sprintf "%S" s
+let quote = Qt_util.Json_min.quote
 
 let render = function
   | I n -> string_of_int n

@@ -63,9 +63,6 @@ val note_execution_avoided : t -> unit
 val credit : t -> seller:int -> float -> unit
 (** Settle discounted hit revenue into a seller's ledger. *)
 
-val revenue : t -> (int * float) list
-(** Per-seller hit revenue, sorted by node id. *)
-
 type stats = {
   placement : string;  (** ["client"] / ["shared"] — the JSON spelling. *)
   stmt : Statement_cache.stats;

@@ -36,17 +36,19 @@ let run ~source (q : Ast.t) =
       in
       Ops.filter result leftover
   in
+  let below = Analysis.sorts_below_projection q in
+  let sort t = if q.order_by = [] then t else Ops.sort t q.order_by in
   let aggregated =
     if q.group_by <> [] || Analysis.has_aggregate q then
       Ops.aggregate joined ~group_by:q.group_by q.select
-    else Ops.project joined q.select
+    else Ops.project (if below then sort joined else joined) q.select
   in
   let deduped =
     if q.distinct && not (q.group_by <> [] || Analysis.has_aggregate q) then
       Ops.distinct aggregated
     else aggregated
   in
-  if q.order_by = [] then deduped else Ops.sort deduped q.order_by
+  if below then deduped else sort deduped
 
 let run_global store q =
   run ~source:(fun ~rel ~alias:_ -> Store.global_table store rel) q

@@ -91,7 +91,6 @@ let offered_load t =
 
 let work h = h.h_work
 let trade_of h = h.h_trade
-let reserved h = h.h_reserved
 let is_active t h = List.exists (fun a -> a.h_seq = h.h_seq) t.active
 
 let served_of t trade =

@@ -68,9 +68,6 @@ val offered_load : t -> float
 val work : handle -> float
 val trade_of : handle -> int
 
-val reserved : handle -> bool
-(** Whether the contract bought a reserved slot (see {!submit}). *)
-
 val started_at : handle -> float
 (** Virtual time the contract last entered service (its submission time
     until then) — the start of its contract span in traces. *)

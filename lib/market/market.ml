@@ -341,15 +341,6 @@ type market = {
   metrics : Metrics.t;
   rtt : Metrics.histo;  (* offer round trips, RFB window close -> reply *)
   waits : Metrics.histo;  (* admission queue waits, all sellers *)
-  mutable on_complete : int -> seller:int -> float -> unit;
-      (* Called as [(trade, ~seller, time)] when one of the trade's
-         contracts finishes; the stream runner hooks end-to-end
-         accounting here and the pricing layer its revenue
-         bookkeeping. *)
-  mutable on_reject : int -> int -> float -> unit;
-      (* Called as [(trade, seller, time)] when a seller rejects a
-         contract submission; the stream telemetry's flight recorder
-         hooks here.  Runs on the coordinator only. *)
 }
 
 let admission_of st node =
@@ -369,10 +360,13 @@ let schedule_promoted st seller ~now promoted =
 (* Fire one contract-completion event: free the slot, start the promoted
    waiters and schedule their completions.  Events whose contract was
    canceled in the meantime are skipped — the stale-event guard that
-   deadline cancellation leans on. *)
+   deadline cancellation leans on.  Returns whether the contract was
+   still active, i.e. whether one of its trade's contracts just
+   finished. *)
 let fire_completion st t seller h =
   let adm = admission_of st seller in
-  if Admission.is_active adm h then begin
+  Admission.is_active adm h
+  && begin
     st.mclock <- Float.max st.mclock t;
     if Obs.enabled st.obs then
       ignore
@@ -385,7 +379,7 @@ let fire_completion st t seller h =
            ~t0:(Admission.started_at h) ~t1:t ()
           : int);
     schedule_promoted st seller ~now:t (Admission.finish adm ~now:t h);
-    st.on_complete (Admission.trade_of h) ~seller t
+    true
   end
 
 (* The buyer's effective view of a seller's load: the base profile, plus
@@ -419,11 +413,14 @@ let trader_config st tr =
       | Some p -> fun node -> Some (Pricing.quote_for p ~seller:node));
   }
 
+let advance_to st node t =
+  let c = Runtime.node_clock st.rt node in
+  if t > c then Runtime.advance st.rt ~node (t -. c)
+
 let make_transport st tr : Seller.response Transport.t =
   let pending = ref None in
   {
-    Transport.label = "market";
-    alive = (fun id -> Runtime.alive st.rt id);
+    Transport.alive = (fun id -> Runtime.alive st.rt id);
     broadcast_rfb =
       (fun ~targets ~signatures ~request_bytes ->
         let targets = List.filter (Runtime.alive st.rt) targets in
@@ -520,7 +517,6 @@ let try_admit st tr ~now works =
       with
       | Admission.Rejected ->
         decision_instant "reject" seller work;
-        st.on_reject tr.t_index seller now;
         List.iter
           (fun s ->
             decision_instant "cancel" s 0.;
@@ -561,9 +557,7 @@ let try_admit st tr ~now works =
    nor before the window in which the market got around to it. *)
 let launch_fiber st tr ~drive =
   tr.t_attempts <- tr.t_attempts + 1;
-  let floor = Float.max st.mclock tr.t_arrival in
-  let c = Runtime.node_clock st.rt tr.t_buyer in
-  if floor > c then Runtime.advance st.rt ~node:tr.t_buyer (floor -. c);
+  advance_to st tr.t_buyer (Float.max st.mclock tr.t_arrival);
   let transport = make_transport st tr in
   let tcfg = trader_config st tr in
   drive tr
@@ -589,9 +583,7 @@ let qcache_probe st tr =
   match st.qcache with
   | None -> `Off
   | Some q -> (
-    let floor = Float.max st.mclock tr.t_arrival in
-    let c = Runtime.node_clock st.rt tr.t_buyer in
-    if floor > c then Runtime.advance st.rt ~node:tr.t_buyer (floor -. c);
+    advance_to st tr.t_buyer (Float.max st.mclock tr.t_arrival);
     let lat = (Tier.config q.q_tier).Tier.lookup_latency in
     if lat > 0. then Runtime.advance st.rt ~node:tr.t_buyer lat;
     let inst = Tier.instance q.q_tier ~client:tr.t_index in
@@ -806,8 +798,7 @@ let serve_wave st trades waiting ~t_close ~drive =
                ]
              ~t0:t_close ~t1:arrival ()
             : int);
-      let sc = Runtime.node_clock st.rt e.seller in
-      if arrival > sc then Runtime.advance st.rt ~node:e.seller (arrival -. sc);
+      advance_to st e.seller arrival;
       List.iter
         (fun (ti, reply, processing, rbytes) ->
           Runtime.advance st.rt ~node:e.seller processing;
@@ -842,9 +833,7 @@ let serve_wave st trades waiting ~t_close ~drive =
             | None -> acc)
           t_close req.rr_targets
       in
-      let c = Runtime.node_clock st.rt tr.t_buyer in
-      if resolution > c then
-        Runtime.advance st.rt ~node:tr.t_buyer (resolution -. c);
+      advance_to st tr.t_buyer resolution;
       drive tr
         (Effect.Deep.continue k
            { Transport.replies; failed = []; fresh_failures = false }))
@@ -917,14 +906,12 @@ let make_market ~obs cfg federation =
       metrics;
       rtt = Metrics.histogram metrics "market.offer_rtt";
       waits = Metrics.histogram metrics "market.queue_wait";
-      on_complete = (fun _ ~seller:_ _ -> ());
-      on_reject = (fun _ _ _ -> ());
     }
   in
   Obs.track_name obs market_track "market";
   List.iter
     (fun id ->
-      Obs.track_name obs id (Printf.sprintf "node %d" id);
+      if Obs.enabled obs then Obs.track_name obs id (Printf.sprintf "node %d" id);
       Runtime.register st.rt id;
       ignore (admission_of st id : Admission.t);
       (* Pre-create the per-node bid cache and pricing state: parallel
@@ -1029,17 +1016,6 @@ let default_stream_config params =
     latency_domain = 1000.;
   }
 
-(* Live per-run telemetry state; internal to [run_stream]. *)
-type stream_tel = {
-  tel_cfg : telemetry_config;
-  tel_ts : Timeseries.t;
-  tel_slo : Slo.t;
-  tel_fr : Flight_recorder.t;
-  mutable tel_alerts : (Slo.alert * Flight_recorder.bundle) list;
-      (* newest first *)
-  mutable tel_failures : Flight_recorder.bundle list;  (* newest first *)
-}
-
 (* Stream latencies outlive the default 10-second metrics domain (an
    overloaded queue can hold a batch query for minutes), so the
    end-to-end histograms use 10 ms buckets over a 1000-second span by
@@ -1052,12 +1028,95 @@ let stream_latency_histogram ?(domain = 1000.) metrics name =
   let buckets = min 100_000 ((hi + 1) / 100) in
   Metrics.histogram ~hi ~buckets ~scale metrics name
 
+(* The outcomes of one population of trades — the whole run, or one SLA
+   class — counted at the event that decides each one, plus the
+   end-to-end latencies of its delivered trades.  The run report and
+   the telemetry counters both read these. *)
+type tally = {
+  mutable n_arrivals : int;
+  mutable n_completed : int;
+  mutable n_hits : int;  (* completed by the deadline *)
+  mutable n_shed : int;
+  mutable n_expired : int;
+  mutable n_failed : int;  (* no plan, or admission failed *)
+  mutable n_cache_hits : int;  (* served from the cache tier *)
+  n_latency : Metrics.histo;  (* [stream.latency.<name>] *)
+}
+
+let make_tally metrics ~domain name =
+  let n_latency =
+    stream_latency_histogram ~domain metrics ("stream.latency." ^ name)
+  in
+  { n_arrivals = 0; n_completed = 0; n_hits = 0; n_shed = 0; n_expired = 0;
+    n_failed = 0; n_cache_hits = 0; n_latency }
+
+(* The tally fields telemetry exposes as [stream.<name>] counters; those
+   marked [true] also per class, as [stream.class.<class>.<name>]. *)
+let mirrored =
+  [
+    ("arrivals", (fun y -> y.n_arrivals), true);
+    ("completed", (fun y -> y.n_completed), false);
+    ("hits", (fun y -> y.n_hits), true);
+    ("shed", (fun y -> y.n_shed), false);
+    ("expired", (fun y -> y.n_expired), true);
+    ("failed", (fun y -> y.n_failed), false);
+    ("cache_hits", (fun y -> y.n_cache_hits), false);
+  ]
+
+(* Live per-run telemetry state; internal to the drive loop. *)
+type stream_tel = {
+  tel_cfg : telemetry_config;
+  tel_ts : Timeseries.t;
+  tel_slo : Slo.t;
+  tel_fr : Flight_recorder.t;
+  tel_counters : (Metrics.counter * (tally -> int) * tally) list;
+      (* registry views of the tallies, synced before each registry read *)
+  tel_occupancy : Metrics.gauge;
+  tel_sellers : (int * Metrics.gauge * Metrics.gauge * Metrics.gauge) list;
+      (* per seller: occupancy, offered load, busy slot-seconds *)
+  mutable tel_alerts : (Slo.alert * Flight_recorder.bundle) list;
+      (* newest first *)
+  mutable tel_failures : Flight_recorder.bundle list;  (* newest first *)
+}
+
+let make_tel st tc ~seller_ids ~total ~by_class =
+  let counter name = Metrics.counter st.metrics ("stream." ^ name) in
+  let gauge name = Metrics.gauge st.metrics name in
+  {
+    tel_cfg = tc;
+    tel_ts = Timeseries.create ~interval:tc.scrape_interval st.metrics;
+    tel_slo = Slo.create tc.slo_rules;
+    tel_fr = Flight_recorder.create ~capacity:flight_capacity;
+    tel_counters =
+      List.concat_map
+        (fun (name, get, per_class) ->
+          let of_class (k, y) =
+            (counter (Printf.sprintf "class.%s.%s" (Sla.to_string k) name), get, y)
+          in
+          (counter name, get, total) :: (if per_class then List.map of_class by_class else []))
+        mirrored;
+    tel_occupancy = gauge "stream.occupancy";
+    tel_sellers =
+      List.map
+        (fun id ->
+          let g what = gauge (Printf.sprintf "seller.%d.%s" id what) in
+          (id, g "occupancy", g "load", g "revenue"))
+        seller_ids;
+    tel_alerts = [];
+    tel_failures = [];
+  }
+
+let sync_counters t =
+  List.iter
+    (fun (c, get, y) -> Metrics.incr c ~by:(get y - Metrics.value c))
+    t.tel_counters
+
 (* The run report, assembled once at the end of either driver.  Per-trade
    answers ([exec_trades]) are kept only when plans go to the execution
    scheduler at admission (the batch driver); a stream keeps the
    aggregate, since answer tables are not retained at stream scale. *)
-let run_report st trades ~trading_makespan ~exec_at_admission tel ~lat_all
-    ~lat_class =
+let run_report st trades ~trading_makespan ~exec_at_admission tel ~total
+    ~by_class =
   let exec =
     match (st.sched, st.cfg.execute) with
     | Some sched, Some e ->
@@ -1090,67 +1149,36 @@ let run_report st trades ~trading_makespan ~exec_at_admission tel ~lat_all
         }
     | _ -> None
   in
-  let count pred =
-    Array.fold_left (fun acc tr -> if pred tr then acc + 1 else acc) 0 trades
-  in
-  let is_hit tr =
-    tr.t_status = Some Completed && tr.t_completed_at <= tr.t_deadline
-  in
-  let bucket pred =
-    let arrivals = count pred in
-    let completed = count (fun tr -> pred tr && tr.t_status = Some Completed) in
-    let hits = count (fun tr -> pred tr && is_hit tr) in
-    let shed = count (fun tr -> pred tr && tr.t_status = Some Shed) in
-    let expired = count (fun tr -> pred tr && tr.t_status = Some Expired) in
-    let failed =
-      count (fun tr ->
-          pred tr
-          && (tr.t_status = Some No_plan || tr.t_status = Some Admission_failed))
-    in
-    let goodput =
-      if arrivals = 0 then 0. else float_of_int hits /. float_of_int arrivals
-    in
-    (arrivals, completed, hits, shed, expired, failed, goodput)
-  in
-  let classes =
-    List.map
-      (fun k ->
-        let pred tr = tr.t_klass = Some k in
-        let arrivals, completed, hits, shed, expired, failed, goodput =
-          bucket pred
-        in
-        let cache_hits = count (fun tr -> pred tr && tr.t_cache_hit <> None) in
-        {
-          cs_klass = k;
-          cs_arrivals = arrivals;
-          cs_completed = completed;
-          cs_hits = hits;
-          cs_shed = shed;
-          cs_expired = expired;
-          cs_failed = failed;
-          cs_goodput = goodput;
-          cs_cache_hits = cache_hits;
-          cs_cache_hit_rate =
-            (if arrivals = 0 then 0.
-             else float_of_int cache_hits /. float_of_int arrivals);
-          cs_latency = summarize (lat_class k);
-        })
-      Sla.all
-  in
-  let arrivals, completed, hits, shed, expired, failed, goodput =
-    bucket (fun _ -> true)
+  let per_arrival y n =
+    if y.n_arrivals = 0 then 0. else float_of_int n /. float_of_int y.n_arrivals
   in
   let wire = Runtime.stats st.rt in
   {
-    str_arrivals = arrivals;
-    str_completed = completed;
-    str_hits = hits;
-    str_shed = shed;
-    str_expired = expired;
-    str_failed = failed;
-    str_goodput = goodput;
-    str_latency = summarize lat_all;
-    str_classes = classes;
+    str_arrivals = total.n_arrivals;
+    str_completed = total.n_completed;
+    str_hits = total.n_hits;
+    str_shed = total.n_shed;
+    str_expired = total.n_expired;
+    str_failed = total.n_failed;
+    str_goodput = per_arrival total total.n_hits;
+    str_latency = summarize total.n_latency;
+    str_classes =
+      List.map
+        (fun (k, y) ->
+          {
+            cs_klass = k;
+            cs_arrivals = y.n_arrivals;
+            cs_completed = y.n_completed;
+            cs_hits = y.n_hits;
+            cs_shed = y.n_shed;
+            cs_expired = y.n_expired;
+            cs_failed = y.n_failed;
+            cs_goodput = per_arrival y y.n_hits;
+            cs_cache_hits = y.n_cache_hits;
+            cs_cache_hit_rate = per_arrival y y.n_cache_hits;
+            cs_latency = summarize y.n_latency;
+          })
+        by_class;
     str_sellers = seller_stats_of st ~horizon:trading_makespan;
     str_batcher = Batcher.stats st.batcher;
     str_cache = Seller.pool_stats st.caches;
@@ -1188,6 +1216,12 @@ let run_report st trades ~trading_makespan ~exec_at_admission tel ~lat_all
    goes to the execution scheduler: at admission (the batch report pairs
    every admitted plan with its answer) or when its last contract
    completes (so a trade canceled at its deadline never executes).
+
+   A trade's lifecycle: [release] counts its arrival; it then ends
+   exactly once, either delivered ([deliver]: the answer reached the
+   buyer) or through [settle] (shed, expired, no plan, admission
+   failed).  Every outcome is counted in the run and class tallies at
+   that moment, and the run ends by checking that every arrival ended.
    Returns the market, the trading makespan and the run report. *)
 let drive_loop ~obs scfg federation trades ~exec_at_admission =
   let cfg = scfg.base in
@@ -1203,127 +1237,62 @@ let drive_loop ~obs scfg federation trades ~exec_at_admission =
       (fun acc id -> Float.max acc (Admission.occupancy (admission_of st id)))
       0. seller_ids
   in
+  let domain = scfg.latency_domain in
+  let total = make_tally st.metrics ~domain "all" in
+  let by_class =
+    List.map (fun k -> (k, make_tally st.metrics ~domain (Sla.to_string k))) Sla.all
+  in
+  (* [f] is a closed function, so bumping allocates nothing. *)
+  let bump tr f =
+    f total;
+    match tr.t_klass with Some k -> f (List.assoc k by_class) | None -> ()
+  in
   (* ---- telemetry state --------------------------------------------- *)
   (* All of it lives on the coordinator and is read-only with respect to
-     the sim: the live counters below are registered in [st.metrics]
-     (which no existing output serializes), and scrape ticks never touch
-     [st.mclock].  With [scfg.telemetry = None] every handle is [None]
-     and every hook below is a no-op, so telemetry-off runs are
-     byte-for-byte unchanged. *)
+     the sim: the registry items are views of sim state refreshed before
+     each read (which no existing output serializes), and scrape ticks
+     never touch [st.mclock].  With [scfg.telemetry = None] there is no
+     telemetry state and no flight-recorder string is ever built, so
+     telemetry-off runs are byte-for-byte unchanged. *)
   let tel =
-    Option.map
-      (fun tc ->
-        {
-          tel_cfg = tc;
-          tel_ts = Timeseries.create ~interval:tc.scrape_interval st.metrics;
-          tel_slo = Slo.create tc.slo_rules;
-          tel_fr = Flight_recorder.create ~capacity:flight_capacity;
-          tel_alerts = [];
-          tel_failures = [];
-        })
-      scfg.telemetry
-  in
-  let tel_counter name =
-    Option.map (fun _ -> Metrics.counter st.metrics name) tel
-  in
-  let tel_gauge name =
-    Option.map (fun _ -> Metrics.gauge st.metrics name) tel
-  in
-  let tincr c = Option.iter (fun c -> Metrics.incr c) c in
-  let c_arrivals = tel_counter "stream.arrivals"
-  and c_hits = tel_counter "stream.hits"
-  and c_completed = tel_counter "stream.completed"
-  and c_shed = tel_counter "stream.shed"
-  and c_expired = tel_counter "stream.expired"
-  and c_failed = tel_counter "stream.failed"
-  and c_cache_hits = tel_counter "stream.cache_hits" in
-  let class_counters suffix =
-    List.map
-      (fun k ->
-        ( k,
-          tel_counter
-            (Printf.sprintf "stream.class.%s.%s" (Sla.to_string k) suffix) ))
-      Sla.all
-  in
-  let cc_arrivals = class_counters "arrivals"
-  and cc_hits = class_counters "hits"
-  and cc_expired = class_counters "expired" in
-  let class_incr tbl k = tincr (List.assoc k tbl) in
-  let g_occupancy = tel_gauge "stream.occupancy" in
-  let seller_gauges =
-    match tel with
-    | None -> []
-    | Some _ ->
-      List.map
-        (fun id ->
-          ( id,
-            ( Metrics.gauge st.metrics (Printf.sprintf "seller.%d.occupancy" id),
-              Metrics.gauge st.metrics (Printf.sprintf "seller.%d.load" id),
-              Metrics.gauge st.metrics (Printf.sprintf "seller.%d.revenue" id)
-            ) ))
-        seller_ids
-  in
-  let fr_record ~time ~node ~kind ~detail =
-    Option.iter
-      (fun t -> Flight_recorder.record t.tel_fr ~time ~node ~kind ~detail)
-      tel
+    Option.map (fun tc -> make_tel st tc ~seller_ids ~total ~by_class) scfg.telemetry
   in
   (* Debug bundles for the first few hard failures: enough to diagnose,
      bounded so a total collapse cannot flood the output. *)
   let max_failure_bundles = 3 in
-  let fr_failure ~time ~reason =
-    Option.iter
-      (fun t ->
-        if List.length t.tel_failures < max_failure_bundles then
-          t.tel_failures <-
-            Flight_recorder.bundle t.tel_fr ~time ~reason
-              ~metrics:(Metrics.to_json st.metrics)
-            :: t.tel_failures)
-      tel
+  let fr_failure t ~time ~reason =
+    if List.length t.tel_failures < max_failure_bundles then begin
+      sync_counters t;
+      t.tel_failures <-
+        Flight_recorder.bundle t.tel_fr ~time ~reason
+          ~metrics:(Metrics.to_json st.metrics)
+        :: t.tel_failures
+    end
   in
   Array.iter
     (fun tr ->
-      Obs.track_name obs tr.t_buyer (Printf.sprintf "trade %d" tr.t_index);
+      if Obs.enabled obs then
+        Obs.track_name obs tr.t_buyer (Printf.sprintf "trade %d" tr.t_index);
       Runtime.register st.rt tr.t_buyer)
     trades;
   qcache_install_exec_hook st trades;
-  let lat_all =
-    stream_latency_histogram ~domain:scfg.latency_domain st.metrics
-      "stream.latency.all"
-  in
-  let lat_class =
-    let tbl =
-      List.map
-        (fun k ->
-          ( k,
-            stream_latency_histogram ~domain:scfg.latency_domain st.metrics
-              ("stream.latency." ^ Sla.to_string k) ))
-        Sla.all
-    in
-    fun k -> List.assoc k tbl
-  in
-  (* Every full completion funnels through here (last contract, empty
-     plans, cache-served results alike), so it doubles as the telemetry
-     completion/hit count site. *)
-  let observe_latency tr t =
+  (* The answer reached the buyer: every full completion funnels through
+     here (last contract, empty plans, cache-served results alike). *)
+  let deliver tr t =
+    tr.t_completed_at <- t;
     let lat = t -. tr.t_arrival in
-    Metrics.observe lat_all lat;
-    tincr c_completed;
-    if t <= tr.t_deadline then begin
-      tincr c_hits;
-      Option.iter (class_incr cc_hits) tr.t_klass
-    end;
-    fr_record ~time:t ~node:tr.t_buyer ~kind:"complete"
-      ~detail:(Printf.sprintf "trade=%d lat=%.3fs" tr.t_index lat);
+    Metrics.observe total.n_latency lat;
+    bump tr (fun y -> y.n_completed <- y.n_completed + 1);
+    if t <= tr.t_deadline then bump tr (fun y -> y.n_hits <- y.n_hits + 1);
+    (match tel with
+    | None -> ()
+    | Some tl ->
+      Flight_recorder.record tl.tel_fr ~time:t ~node:tr.t_buyer ~kind:"complete"
+        ~detail:(Printf.sprintf "trade=%d lat=%.3fs" tr.t_index lat));
     match tr.t_klass with
-    | Some k -> Metrics.observe (lat_class k) lat
+    | Some k -> Metrics.observe (List.assoc k by_class).n_latency lat
     | None -> ()
   in
-  let deadlines : int Event_queue.t = Event_queue.create () in
-  let ready = Queue.create () in
-  let parked = ref [] in
-  let running = ref 0 in
-  let next = ref 0 in
   let stream_instant tr ~at name =
     if Obs.enabled st.obs then
       ignore
@@ -1332,38 +1301,76 @@ let drive_loop ~obs scfg federation trades ~exec_at_admission =
            ~at ()
           : int)
   in
-  (* End-to-end accounting at contract completion; hooked into
-     [fire_completion], so it also runs for promotions and late drains. *)
-  st.on_complete <-
-    (fun ti ~seller t ->
-      let tr = trades.(ti) in
-      (* Pricing bookkeeping: the seller's contract for this trade
-         completed, so its credited revenue is final and a reserved
-         trade's fill rate advances.  Runs before the pending-count step
-         so deadline refunds (below) can tell completed sellers apart. *)
-      (match st.pstate with
-      | None -> ()
-      | Some p ->
-        if not (List.mem seller tr.t_done) then begin
-          tr.t_done <- seller :: tr.t_done;
-          if tr.t_reserved then Pricing.reserve_completed p ~seller
-        end);
-      if tr.t_status = Some Completed && tr.t_pending > 0 then begin
-        tr.t_pending <- tr.t_pending - 1;
-        if tr.t_pending = 0 then begin
-          tr.t_completed_at <- t;
-          observe_latency tr t;
-          match (st.sched, tr.t_plan) with
-          | Some sched, Some plan when not exec_at_admission ->
-            Execsched.submit sched ~trade:ti ~buyer:tr.t_buyer ~at:t plan
-          | _ -> ()
-        end
+  (* The one writer of every ending but delivery.  A trade ends once;
+     the only second ending is a trade whose plan was admitted but whose
+     contracts are still running when its deadline passes. *)
+  let settle ?(seller = 0) tr status ~at =
+    (match (tr.t_status, status) with
+    | _, Completed -> invalid_arg "Market.settle: a delivery is not settled"
+    | None, _ -> ()
+    | Some Completed, Expired when tr.t_pending > 0 -> ()
+    | Some _, _ ->
+      invalid_arg (Printf.sprintf "Market.settle: trade %d ended twice" tr.t_index));
+    tr.t_status <- Some status;
+    tr.t_finished_at <- at;
+    tr.t_pending <- 0;
+    (match status with
+    | Shed ->
+      bump tr (fun y -> y.n_shed <- y.n_shed + 1);
+      stream_instant tr ~at "shed"
+    | Expired ->
+      bump tr (fun y -> y.n_expired <- y.n_expired + 1);
+      stream_instant tr ~at "expired"
+    | No_plan | Admission_failed | Completed ->
+      bump tr (fun y -> y.n_failed <- y.n_failed + 1));
+    match tel with
+    | None -> ()
+    | Some t ->
+      let i = tr.t_index in
+      let kind, detail, failure =
+        match status with
+        | Shed -> ("shed", Printf.sprintf "trade=%d" i, "")
+        | Expired ->
+          ("expire", Printf.sprintf "trade=%d deadline=%.3fs" i tr.t_deadline, "expired")
+        | No_plan -> ("no_plan", Printf.sprintf "trade=%d" i, "found no plan")
+        | Admission_failed | Completed ->
+          ("admission_failed", Printf.sprintf "trade=%d seller=%d" i seller, "admission failed")
+      in
+      Flight_recorder.record t.tel_fr ~time:at ~node:tr.t_buyer ~kind ~detail;
+      if status <> Shed then
+        fr_failure t ~time:at ~reason:(Printf.sprintf "trade %d %s" i failure)
+  in
+  let deadlines : int Event_queue.t = Event_queue.create () in
+  let ready = Queue.create () in
+  let parked = ref [] in
+  let running = ref 0 in
+  let next = ref 0 in
+  (* One of the trade's contracts finished (promotions and late drains
+     included). *)
+  let contract_done ti ~seller t =
+    let tr = trades.(ti) in
+    (* Pricing bookkeeping: the seller's contract for this trade
+       completed, so its credited revenue is final and a reserved trade's
+       fill rate advances.  Runs before the pending-count step so
+       deadline refunds (below) can tell completed sellers apart. *)
+    (match st.pstate with
+    | None -> ()
+    | Some p ->
+      if not (List.mem seller tr.t_done) then begin
+        tr.t_done <- seller :: tr.t_done;
+        if tr.t_reserved then Pricing.reserve_completed p ~seller
       end);
-  if tel <> None then
-    st.on_reject <-
-      (fun ti seller t ->
-        fr_record ~time:t ~node:seller ~kind:"reject"
-          ~detail:(Printf.sprintf "trade=%d" ti));
+    if tr.t_status = Some Completed && tr.t_pending > 0 then begin
+      tr.t_pending <- tr.t_pending - 1;
+      if tr.t_pending = 0 then begin
+        deliver tr t;
+        match (st.sched, tr.t_plan) with
+        | Some sched, Some plan when not exec_at_admission ->
+          Execsched.submit sched ~trade:ti ~buyer:tr.t_buyer ~at:t plan
+        | _ -> ()
+      end
+    end
+  in
   (* An SLA deadline fires: a trade still trading, or holding
      uncompleted contracts, expires.  In-flight contracts are withdrawn
      through the admission cancel path — their already-scheduled
@@ -1373,14 +1380,7 @@ let drive_loop ~obs scfg federation trades ~exec_at_admission =
     let tr = trades.(i) in
     let expire () =
       st.mclock <- Float.max st.mclock d;
-      tr.t_status <- Some Expired;
-      tr.t_finished_at <- d;
-      stream_instant tr ~at:d "expired";
-      tincr c_expired;
-      Option.iter (class_incr cc_expired) tr.t_klass;
-      fr_record ~time:d ~node:tr.t_buyer ~kind:"expire"
-        ~detail:(Printf.sprintf "trade=%d deadline=%.3fs" tr.t_index tr.t_deadline);
-      fr_failure ~time:d ~reason:(Printf.sprintf "trade %d expired" tr.t_index)
+      settle tr Expired ~at:d
     in
     match tr.t_status with
     | Some Completed when tr.t_pending > 0 ->
@@ -1407,27 +1407,27 @@ let drive_loop ~obs scfg federation trades ~exec_at_admission =
                   ~premium:(premium_rate *. price)
             end)
           tr.t_prices);
-      tr.t_pending <- 0;
       expire ()
     | None -> expire ()
     | Some _ -> ()
   in
-  (* One scrape tick: refresh the sampled gauges, scrape the registry
-     into the series, derive the windowed goodput / cache-hit-rate
-     series, evaluate the SLO rules on this window, and bundle any alert
-     that fires.  Strictly read-only with respect to the sim —
-     [st.mclock] and the event queues are never touched. *)
+  (* One scrape tick: sync the counters, refresh the sampled gauges,
+     scrape the registry into the series, derive the windowed goodput /
+     cache-hit-rate series, evaluate the SLO rules on this window, and
+     bundle any alert that fires.  Strictly read-only with respect to
+     the sim — [st.mclock] and the event queues are never touched. *)
   let scrape_tick t ~now =
     let ts = t.tel_ts in
+    sync_counters t;
     let occ = occupancy () in
-    Option.iter (fun g -> Metrics.set g occ) g_occupancy;
+    Metrics.set t.tel_occupancy occ;
     List.iter
-      (fun (id, (g_occ, g_load, g_rev)) ->
+      (fun (id, g_occ, g_load, g_rev) ->
         let adm = admission_of st id in
         Metrics.set g_occ (Admission.occupancy adm);
         Metrics.set g_load (Admission.offered_load adm);
         Metrics.set g_rev (Admission.stats adm).Admission.busy)
-      seller_gauges;
+      t.tel_sellers;
     Timeseries.scrape ts ~now;
     let arr_w = Timeseries.window_delta ts "stream.arrivals" in
     let hits_w = Timeseries.window_delta ts "stream.hits" in
@@ -1444,7 +1444,7 @@ let drive_loop ~obs scfg federation trades ~exec_at_admission =
     Option.iter
       (fun v -> Timeseries.push ts ~now "stream.cache_hit_rate" v)
       cache_w;
-    fr_record ~time:now ~node:market_track ~kind:"scrape"
+    Flight_recorder.record t.tel_fr ~time:now ~node:market_track ~kind:"scrape"
       ~detail:
         (Printf.sprintf "arrivals=%.0f goodput=%.3f occupancy=%.3f" arr_w
            goodput_w occ);
@@ -1527,7 +1527,7 @@ let drive_loop ~obs scfg federation trades ~exec_at_admission =
       let firing = Slo.firing t.tel_slo in
       if firing <> Pricing.forced p then begin
         Pricing.set_forced p firing;
-        fr_record ~time:now ~node:market_track
+        Flight_recorder.record t.tel_fr ~time:now ~node:market_track
           ~kind:(if firing then "surge_forced" else "surge_cleared")
           ~detail:
             (if firing then "slo alert firing: sellers forced into surge"
@@ -1554,7 +1554,9 @@ let drive_loop ~obs scfg federation trades ~exec_at_admission =
     in
     if completion_first then begin
       (match Event_queue.pop st.completions with
-      | Some (t, (seller, h)) -> fire_completion st t seller h
+      | Some (t, (seller, h)) ->
+        if fire_completion st t seller h then
+          contract_done (Admission.trade_of h) ~seller t
       | None -> ());
       drain_events ~upto
     end
@@ -1581,6 +1583,25 @@ let drive_loop ~obs scfg federation trades ~exec_at_admission =
     | Some sched -> Execsched.drain sched ~upto
     | None -> ()
   in
+  (* Bring the market up to the buyer's clock: settle every event up to
+     it and return the time the trade acts at. *)
+  let catch_up tr =
+    let now = Float.max (Runtime.node_clock st.rt tr.t_buyer) st.mclock in
+    drain ~upto:now;
+    st.mclock <- Float.max st.mclock now;
+    now
+  in
+  (* Submit a plan's contracts; a rejecting seller goes to the flight
+     recorder. *)
+  let admit tr ~now works =
+    let r = try_admit st tr ~now works in
+    (match (r, tel) with
+    | Error seller, Some t ->
+      Flight_recorder.record t.tel_fr ~time:now ~node:seller ~kind:"reject"
+        ~detail:(Printf.sprintf "trade=%d" tr.t_index)
+    | _ -> ());
+    r
+  in
   let complete_admitted tr ~now ~plan ~plan_cost works =
     tr.t_status <- Some Completed;
     tr.t_plan_cost <- plan_cost;
@@ -1588,19 +1609,14 @@ let drive_loop ~obs scfg federation trades ~exec_at_admission =
     tr.t_finished_at <- now;
     tr.t_plan <- Some plan;
     tr.t_pending <- List.length works;
-    if works = [] then begin
-      tr.t_completed_at <- now;
-      observe_latency tr now
-    end;
+    if works = [] then deliver tr now;
     match st.sched with
     | Some sched when exec_at_admission || works = [] ->
       Execsched.submit sched ~trade:tr.t_index ~buyer:tr.t_buyer ~at:now plan
     | _ -> ()
   in
   let handle_ok tr (outcome : Trader.outcome) =
-    let now = Float.max (Runtime.node_clock st.rt tr.t_buyer) st.mclock in
-    drain ~upto:now;
-    st.mclock <- Float.max st.mclock now;
+    let now = catch_up tr in
     (* The drain fires every deadline up to [now]: an expired trade is
        too late to admit. *)
     if tr.t_status = Some Expired then ()
@@ -1608,7 +1624,7 @@ let drive_loop ~obs scfg federation trades ~exec_at_admission =
       let works = per_seller (fun o -> o.Offer.true_cost) outcome in
       if st.pstate <> None then
         tr.t_prices <- per_seller (fun o -> o.Offer.quoted) outcome;
-      match try_admit st tr ~now works with
+      match admit tr ~now works with
       | Ok () ->
         qcache_note_traded st tr ~plan:outcome.Trader.plan
           ~plan_cost:(Cost.response outcome.Trader.cost) works;
@@ -1621,15 +1637,7 @@ let drive_loop ~obs scfg federation trades ~exec_at_admission =
           penalize tr seller rejection_penalty;
           Queue.add tr.t_index ready
         end
-        else begin
-          tr.t_status <- Some Admission_failed;
-          tr.t_finished_at <- now;
-          tincr c_failed;
-          fr_record ~time:now ~node:tr.t_buyer ~kind:"admission_failed"
-            ~detail:(Printf.sprintf "trade=%d seller=%d" tr.t_index seller);
-          fr_failure ~time:now
-            ~reason:(Printf.sprintf "trade %d admission failed" tr.t_index)
-        end
+        else settle tr Admission_failed ~seller ~at:now
     end
   in
   let drive tr step =
@@ -1640,21 +1648,15 @@ let drive_loop ~obs scfg federation trades ~exec_at_admission =
     | Finished res -> (
       decr running;
       match tr.t_status with
-      | Some Expired -> ()  (* poisoned mid-optimization; already counted *)
+      | Some Expired -> ()  (* poisoned mid-optimization; already settled *)
       | _ -> (
         match res with
         | Ok outcome ->
           tr.t_phases <- Trader.add_phase_stats tr.t_phases outcome.Trader.phases;
           handle_ok tr outcome
         | Error _ ->
-          tr.t_status <- Some No_plan;
-          tr.t_finished_at <-
-            Float.max (Runtime.node_clock st.rt tr.t_buyer) st.mclock;
-          tincr c_failed;
-          fr_record ~time:tr.t_finished_at ~node:tr.t_buyer ~kind:"no_plan"
-            ~detail:(Printf.sprintf "trade=%d" tr.t_index);
-          fr_failure ~time:tr.t_finished_at
-            ~reason:(Printf.sprintf "trade %d found no plan" tr.t_index)))
+          settle tr No_plan
+            ~at:(Float.max (Runtime.node_clock st.rt tr.t_buyer) st.mclock)))
   in
   (* Probe the cache tier before spending a fiber on an arrival.  A
      result hit completes the trade outright; a statement hit goes
@@ -1663,49 +1665,44 @@ let drive_loop ~obs scfg federation trades ~exec_at_admission =
      plan just stopped fitting the market).  Returns [true] when the
      arrival needs no fiber. *)
   let try_cache tr =
-    (* Materialize execution completions at or before the probe time
-       first (the result-cache fill hook fires from the drain); the drain
-       may also expire this very arrival, which then needs no fiber. *)
-    if st.qcache <> None then
+    st.qcache <> None
+    && begin
+      (* Materialize execution completions at or before the probe time
+         first (the result-cache fill hook fires from the drain); the
+         drain may also expire this very arrival, which then needs no
+         fiber. *)
       drain ~upto:(Float.max (Runtime.node_clock st.rt tr.t_buyer) st.mclock);
-    if st.qcache <> None && tr.t_status <> None then true
-    else
-    match qcache_probe st tr with
-    | `Off | `Miss -> false
-    | `Result (q, e) ->
-      let now = Float.max (Runtime.node_clock st.rt tr.t_buyer) st.mclock in
-      drain ~upto:now;
-      st.mclock <- Float.max st.mclock now;
-      if tr.t_status <> None then true  (* expired during the drain *)
-      else begin
-        tr.t_attempts <- tr.t_attempts + 1;
-        tincr c_cache_hits;
-        let now = qcache_serve_result st q tr e ~now in
-        st.mclock <- Float.max st.mclock now;
-        tr.t_completed_at <- now;
-        observe_latency tr now;
-        true
-      end
-    | `Stmt (q, e) -> (
-      let now = Float.max (Runtime.node_clock st.rt tr.t_buyer) st.mclock in
-      drain ~upto:now;
-      st.mclock <- Float.max st.mclock now;
-      if tr.t_status <> None then true  (* expired during the drain *)
-      else begin
-        (* A statement hit skips negotiation: the cached plan is bought
-           at its contracts' cost. *)
-        if st.pstate <> None then tr.t_prices <- e.Statement_cache.contracts;
-        match try_admit st tr ~now e.Statement_cache.contracts with
-        | Ok () ->
+      tr.t_status <> None
+      ||
+      match qcache_probe st tr with
+      | `Off | `Miss -> false
+      | (`Result _ | `Stmt _) as hit -> (
+        let now = catch_up tr in
+        tr.t_status <> None (* expired during the drain *)
+        ||
+        match hit with
+        | `Result (q, e) ->
           tr.t_attempts <- tr.t_attempts + 1;
-          tr.t_cache_hit <- Some Cache_stmt;
-          tincr c_cache_hits;
-          Tier.note_trade_avoided q.q_tier;
-          complete_admitted tr ~now ~plan:e.Statement_cache.plan
-            ~plan_cost:e.Statement_cache.plan_cost e.Statement_cache.contracts;
+          bump tr (fun y -> y.n_cache_hits <- y.n_cache_hits + 1);
+          let now = qcache_serve_result st q tr e ~now in
+          st.mclock <- Float.max st.mclock now;
+          deliver tr now;
           true
-        | Error _ -> false
-      end)
+        | `Stmt (q, e) -> (
+          (* A statement hit skips negotiation: the cached plan is bought
+             at its contracts' cost. *)
+          if st.pstate <> None then tr.t_prices <- e.Statement_cache.contracts;
+          match admit tr ~now e.Statement_cache.contracts with
+          | Error _ -> false
+          | Ok () ->
+            tr.t_attempts <- tr.t_attempts + 1;
+            tr.t_cache_hit <- Some Cache_stmt;
+            bump tr (fun y -> y.n_cache_hits <- y.n_cache_hits + 1);
+            Tier.note_trade_avoided q.q_tier;
+            complete_admitted tr ~now ~plan:e.Statement_cache.plan
+              ~plan_cost:e.Statement_cache.plan_cost e.Statement_cache.contracts;
+            true))
+    end
   in
   (* Release every arrival up to market time: shed it outright if the
      marketplace is saturated, otherwise queue it for a fiber and arm
@@ -1715,16 +1712,9 @@ let drive_loop ~obs scfg federation trades ~exec_at_admission =
       let tr = trades.(!next) in
       incr next;
       stream_instant tr ~at:tr.t_arrival "arrive";
-      tincr c_arrivals;
-      Option.iter (class_incr cc_arrivals) tr.t_klass;
-      if Shedding.sheds scfg.shedding ~occupancy:(occupancy ()) then begin
-        tr.t_status <- Some Shed;
-        tr.t_finished_at <- tr.t_arrival;
-        stream_instant tr ~at:tr.t_arrival "shed";
-        tincr c_shed;
-        fr_record ~time:tr.t_arrival ~node:tr.t_buyer ~kind:"shed"
-          ~detail:(Printf.sprintf "trade=%d" tr.t_index)
-      end
+      bump tr (fun y -> y.n_arrivals <- y.n_arrivals + 1);
+      if Shedding.sheds scfg.shedding ~occupancy:(occupancy ()) then
+        settle tr Shed ~at:tr.t_arrival
       else begin
         Queue.add tr.t_index ready;
         if tr.t_deadline < infinity then
@@ -1737,7 +1727,7 @@ let drive_loop ~obs scfg federation trades ~exec_at_admission =
     while !running < cap && not (Queue.is_empty ready) do
       let tr = trades.(Queue.pop ready) in
       (* Trades that expired while waiting for a fiber are skipped —
-         they were already accounted by their deadline event. *)
+         they were already settled by their deadline event. *)
       if tr.t_status = None then
         if not (try_cache tr) then begin
           incr running;
@@ -1778,6 +1768,12 @@ let drive_loop ~obs scfg federation trades ~exec_at_admission =
   in
   stream_loop ();
   drain ~upto:infinity;
+  (* Every arrival ended exactly once. *)
+  List.iter
+    (fun y ->
+      if y.n_completed + y.n_shed + y.n_expired + y.n_failed <> y.n_arrivals
+      then failwith "Market: an arrival did not end exactly once")
+    (total :: List.map snd by_class);
   let trading_makespan =
     Array.fold_left
       (fun acc tr -> Float.max acc (Float.max tr.t_finished_at tr.t_completed_at))
@@ -1797,8 +1793,8 @@ let drive_loop ~obs scfg federation trades ~exec_at_admission =
   emit_pool_span obs cfg.pool ~at:trading_makespan;
   ( st,
     trading_makespan,
-    run_report st trades ~trading_makespan ~exec_at_admission tel ~lat_all
-      ~lat_class )
+    run_report st trades ~trading_makespan ~exec_at_admission tel ~total
+      ~by_class )
 
 (* A batch is the degenerate stream: every query arrives at t=0 with no
    deadline and priority 0, nothing is shed and telemetry is off.  Plans
@@ -1810,15 +1806,7 @@ let run ?(obs = Obs.disabled) cfg federation queries =
          (fun i q -> make_trade ~index:i ~priority:0 (q, Analysis.Sig.of_ast q))
          queries)
   in
-  let scfg =
-    {
-      base = cfg;
-      spec_of = Sla.default_spec;
-      shedding = Shedding.Keep_all;
-      telemetry = None;
-      latency_domain = 1000.;
-    }
-  in
+  let scfg = { (default_stream_config cfg.trader.Trader.params) with base = cfg } in
   let st, trading_makespan, report =
     drive_loop ~obs scfg federation trades ~exec_at_admission:true
   in
@@ -1865,6 +1853,14 @@ let run ?(obs = Obs.disabled) cfg federation queries =
 let run_stream ?(obs = Obs.disabled) scfg federation ~templates arrivals =
   if Array.length templates = 0 then
     invalid_arg "Market.run_stream: empty template pool";
+  let rules = match scfg.telemetry with Some tc -> tc.slo_rules | None -> [] in
+  List.iter
+    (fun { Slo.r_subject = s; r_name; _ } ->
+      if s <> "stream" && Sla.of_string s = None then
+        invalid_arg
+          (Printf.sprintf "Market.run_stream: SLO %s: unknown subject %s (stream|%s)"
+             r_name s (String.concat "|" (List.map Sla.to_string Sla.all))))
+    rules;
   (* Each template is signed once per run; its trades share the record. *)
   let templates = Array.map (fun q -> (q, Analysis.Sig.of_ast q)) templates in
   let trades =
@@ -1948,8 +1944,8 @@ let counts_json ?(more = "") (c : Qt_util.Lru.stats) =
    byte-identical to a build without the cache tier. *)
 let qcache_json (q : Tier.stats) =
   Printf.sprintf
-    "{\"placement\":%S,\"stmt\":%s,\"result\":%s,\"trades_avoided\":%d,\"executions_avoided\":%d,\"hit_revenue\":%s,\"revenue_by_seller\":[%s],\"result_bytes\":%d}"
-    q.Tier.placement
+    "{\"placement\":%s,\"stmt\":%s,\"result\":%s,\"trades_avoided\":%d,\"executions_avoided\":%d,\"hit_revenue\":%s,\"revenue_by_seller\":[%s],\"result_bytes\":%d}"
+    (Qt_util.Json_min.quote q.Tier.placement)
     (counts_json q.Tier.stmt
        ~more:(Printf.sprintf ",\"suppressed\":%d" q.Tier.stmt_suppressed))
     (counts_json q.Tier.result)
@@ -2090,8 +2086,8 @@ let class_json ~qcache (c : class_stats) =
     else ""
   in
   Printf.sprintf
-    "{\"class\":%S,\"arrivals\":%d,\"completed\":%d,\"hits\":%d,\"shed\":%d,\"expired\":%d,\"failed\":%d,\"goodput\":%s%s,\"latency\":%s}"
-    (Sla.to_string c.cs_klass) c.cs_arrivals c.cs_completed c.cs_hits c.cs_shed
+    "{\"class\":%s,\"arrivals\":%d,\"completed\":%d,\"hits\":%d,\"shed\":%d,\"expired\":%d,\"failed\":%d,\"goodput\":%s%s,\"latency\":%s}"
+    (Qt_util.Json_min.quote (Sla.to_string c.cs_klass)) c.cs_arrivals c.cs_completed c.cs_hits c.cs_shed
     c.cs_expired c.cs_failed (jf c.cs_goodput) cache_fields
     (latency_json c.cs_latency)
 
@@ -2128,7 +2124,7 @@ let stream_to_json (s : stream_stats) =
          ",\"telemetry\":{\"interval\":%s,\"ticks\":%d,\"points\":%d,\"rules\":"
          (jf t.tl_interval) t.tl_ticks (List.length t.tl_points));
     add_list b
-      (fun (r : Slo.rule) -> add (Printf.sprintf "%S" r.Slo.r_name))
+      (fun (r : Slo.rule) -> add (Qt_util.Json_min.quote r.Slo.r_name))
       t.tl_rules;
     add ",\"alerts\":";
     add_list b

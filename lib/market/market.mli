@@ -365,7 +365,8 @@ type stream_config = {
       (** Time-resolved telemetry: scrape ticks scheduled as events on
           the shared timeline, SLO burn-rate alerting and a per-node
           flight recorder.  [None] (the default) leaves every output
-          byte-identical to a telemetry-free build. *)
+          byte-identical to a telemetry-free build, and builds no
+          telemetry state and no flight-recorder or failure string. *)
   latency_domain : float;
       (** Upper bound (sim seconds) of the end-to-end latency histogram
           domain; resolution adapts so the bucket count stays bounded.
@@ -391,7 +392,10 @@ val run_stream :
     expired or failed.  A query completes end-to-end when its last
     admitted contract finishes; it counts as a goodput {e hit} iff that
     happens by its deadline.
-    @raise Invalid_argument on an empty template pool. *)
+    @raise Invalid_argument on an empty template pool, or on an SLO
+    rule whose subject is neither ["stream"] nor an SLA class name.
+    @raise Failure if an arrival did not end exactly once (an internal
+    invariant; never expected). *)
 
 val stream_to_json : stream_stats -> string
 (** Canonical single-line JSON (aggregate; no per-trade list).  Same

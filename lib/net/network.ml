@@ -7,7 +7,6 @@ type t = {
 
 let create params = { params; clock = 0.; messages = 0; bytes_sent = 0 }
 
-let params t = t.params
 let clock t = t.clock
 let messages t = t.messages
 let bytes_sent t = t.bytes_sent

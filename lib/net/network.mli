@@ -13,7 +13,6 @@
 type t
 
 val create : Qt_cost.Params.t -> t
-val params : t -> Qt_cost.Params.t
 
 val clock : t -> float
 (** Simulated seconds elapsed since creation. *)

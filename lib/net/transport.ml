@@ -5,7 +5,6 @@ type 'reply round = {
 }
 
 type 'reply t = {
-  label : string;
   alive : int -> bool;
   broadcast_rfb :
     targets:int list -> signatures:(int * int) list -> request_bytes:int -> unit;

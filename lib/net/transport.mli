@@ -27,7 +27,6 @@ type 'reply round = {
 }
 
 type 'reply t = {
-  label : string;  (** "lockstep" or "des", for traces and stats. *)
   alive : int -> bool;
       (** Whether a node can currently be reached (crash-aware on the
           event runtime; always true on the lock-step network). *)

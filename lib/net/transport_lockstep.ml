@@ -3,8 +3,7 @@ module Obs = Qt_obs.Obs
 let create ?(obs = Obs.disabled) ?(track = -1) net =
   let pending = ref None in
   {
-    Transport.label = "lockstep";
-    alive = (fun _ -> true);
+    Transport.alive = (fun _ -> true);
     broadcast_rfb =
       (fun ~targets ~signatures:_ ~request_bytes ->
         (if Obs.enabled obs then

@@ -16,25 +16,12 @@
    — and the emitted ts is clamped to be non-decreasing per track, so
    clock skew between sibling spans can never produce an invalid file. *)
 
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+let quote = Qt_util.Json_min.quote
 
 let value_json = function
   | Obs.Int n -> string_of_int n
   | Obs.Float f -> Printf.sprintf "%.6g" f
-  | Obs.Str s -> Printf.sprintf "\"%s\"" (escape s)
+  | Obs.Str s -> quote s
 
 let args_json attrs =
   let b = Buffer.create 64 in
@@ -42,7 +29,7 @@ let args_json attrs =
   List.iteri
     (fun i (k, v) ->
       if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Printf.sprintf "\"%s\":%s" (escape k) (value_json v)))
+      Buffer.add_string b (Printf.sprintf "%s:%s" (quote k) (value_json v)))
     attrs;
   Buffer.add_char b '}';
   Buffer.contents b
@@ -67,8 +54,8 @@ let to_json ?(counters = []) obs =
     (fun (tr, name) ->
       event
         (Printf.sprintf
-           "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":1,\"args\":{\"name\":\"%s\"}}"
-           (pid_of tr) (escape name)))
+           "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":1,\"args\":{\"name\":%s}}"
+           (pid_of tr) (quote name)))
     tracks;
   (* Per-track span trees: a span is a child of [parent] only when the
      parent lives on the same track; anything else renders as a root. *)
@@ -103,15 +90,15 @@ let to_json ?(counters = []) obs =
       let b_ts = clamp (us s.t0) in
       event
         (Printf.sprintf
-           "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"B\",\"ts\":%.3f,\"pid\":%d,\"tid\":1,\"args\":%s}"
-           (escape s.name) (escape s.cat) b_ts pid (args_json s.attrs));
+           "{\"name\":%s,\"cat\":%s,\"ph\":\"B\",\"ts\":%.3f,\"pid\":%d,\"tid\":1,\"args\":%s}"
+           (quote s.name) (quote s.cat) b_ts pid (args_json s.attrs));
       List.iter emit_span
         (order (try Hashtbl.find children s.id with Not_found -> []));
       let e_ts = clamp (us s.t1) in
       event
         (Printf.sprintf
-           "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"E\",\"ts\":%.3f,\"pid\":%d,\"tid\":1}"
-           (escape s.name) (escape s.cat) e_ts pid)
+           "{\"name\":%s,\"cat\":%s,\"ph\":\"E\",\"ts\":%.3f,\"pid\":%d,\"tid\":1}"
+           (quote s.name) (quote s.cat) e_ts pid)
     in
     List.iter emit_span
       (order (try Hashtbl.find roots_of_track tr with Not_found -> []))
@@ -138,8 +125,8 @@ let to_json ?(counters = []) obs =
       (fun (t, series, v) ->
         event
           (Printf.sprintf
-             "{\"name\":\"%s\",\"cat\":\"telemetry\",\"ph\":\"C\",\"ts\":%.3f,\"pid\":%d,\"tid\":1,\"args\":{\"value\":%.6g}}"
-             (escape series) (us t) pid v))
+             "{\"name\":%s,\"cat\":\"telemetry\",\"ph\":\"C\",\"ts\":%.3f,\"pid\":%d,\"tid\":1,\"args\":{\"value\":%.6g}}"
+             (quote series) (us t) pid v))
       points
   end;
   Printf.sprintf "{\"traceEvents\":[%s],\"displayTimeUnit\":\"ms\"}"

@@ -25,8 +25,6 @@ let create ~capacity =
     invalid_arg "Flight_recorder.create: capacity must be positive";
   { fr_capacity = capacity; rings = Hashtbl.create 16; fr_seq = 0 }
 
-let capacity t = t.fr_capacity
-
 let ring_of t node =
   match Hashtbl.find_opt t.rings node with
   | Some r -> r
@@ -72,28 +70,15 @@ let bundle t ~time ~reason ~metrics =
   in
   { b_time = time; b_reason = reason; b_entries = entries; b_metrics = metrics }
 
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let jf x = Printf.sprintf "%.6g" x
+let quote = Qt_util.Json_min.quote
 
 let entry_to_json e =
-  Printf.sprintf "{\"t\":%s,\"node\":%d,\"kind\":\"%s\",\"detail\":\"%s\"}"
-    (jf e.e_time) e.e_node (escape e.e_kind) (escape e.e_detail)
+  Printf.sprintf "{\"t\":%s,\"node\":%d,\"kind\":%s,\"detail\":%s}"
+    (jf e.e_time) e.e_node (quote e.e_kind) (quote e.e_detail)
 
 let bundle_to_json b =
-  Printf.sprintf "{\"t\":%s,\"reason\":\"%s\",\"entries\":[%s],\"metrics\":%s}"
-    (jf b.b_time) (escape b.b_reason)
+  Printf.sprintf "{\"t\":%s,\"reason\":%s,\"entries\":[%s],\"metrics\":%s}"
+    (jf b.b_time) (quote b.b_reason)
     (String.concat "," (List.map entry_to_json b.b_entries))
     (if b.b_metrics = "" then "null" else b.b_metrics)

@@ -48,8 +48,6 @@ let gauge t name =
     g
 
 let set g v = g.g_value <- v
-let add g v = g.g_value <- g.g_value +. v
-let peak g v = if v > g.g_value then g.g_value <- v
 let gauge_value g = g.g_value
 
 (* Default histogram domain: 10 simulated seconds at 1 µs granularity,
@@ -133,7 +131,7 @@ let to_json t =
   List.iteri
     (fun i (k, v) ->
       if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Printf.sprintf "%S:%s" k v))
+      Buffer.add_string b (Qt_util.Json_min.quote k ^ ":" ^ v))
     entries;
   Buffer.add_char b '}';
   Buffer.contents b

@@ -33,10 +33,6 @@ val value : counter -> int
 
 val gauge : t -> string -> gauge
 val set : gauge -> float -> unit
-val add : gauge -> float -> unit
-
-val peak : gauge -> float -> unit
-(** Raise the gauge to [v] if [v] is larger (high-water marks). *)
 
 val gauge_value : gauge -> float
 
@@ -51,7 +47,6 @@ val observe : histo -> float -> unit
 
 val observations : histo -> int
 val sum : histo -> float
-val mean : histo -> float
 
 val percentile : histo -> float -> float
 (** Interpolated quantile in raw units, [p] clamped to [0, 1].  With a

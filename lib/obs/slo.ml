@@ -243,23 +243,10 @@ let alerts t = List.rev t.st_alerts
 
 let jf x = Printf.sprintf "%.6g" x
 
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let alert_to_json al =
   Printf.sprintf
-    "{\"rule\":\"%s\",\"t\":%s,\"severity\":\"%s\",\"burn_fast\":%s,\"burn_slow\":%s,\"window_error\":%s,\"suppressed\":%d}"
-    (escape al.al_rule.r_name) (jf al.al_time)
+    "{\"rule\":%s,\"t\":%s,\"severity\":\"%s\",\"burn_fast\":%s,\"burn_slow\":%s,\"window_error\":%s,\"suppressed\":%d}"
+    (Qt_util.Json_min.quote al.al_rule.r_name) (jf al.al_time)
     (severity_to_string al.al_severity)
     (jf al.al_burn_fast)
     (jf al.al_burn_slow)

@@ -17,26 +17,30 @@ type result = { partials : partial list; best : partial option }
 
 type entry = Plan.t * Cost.t
 
-(* Top-level query semantics on top of a joined-rows plan.  The final Sort
-   is skipped when the plan's output order already satisfies the ORDER BY
-   (interesting orders). *)
+(* Top-level query semantics on top of a joined-rows plan.  The Sort is
+   skipped when the plan's output order already satisfies the ORDER BY
+   (interesting orders), and goes beneath the projection when an ORDER BY
+   key is not selected. *)
 let finalize ~params ?(cpu_factor = 1.0) ?(io_factor = 1.0) ~env (q : Ast.t) plan =
   let out_rows = Estimate.output_rows env q in
+  let sort p =
+    if Plan.satisfies_order p q.order_by then p
+    else Plan.Sort { input = p; keys = q.order_by; rows = Plan.rows p }
+  in
+  let below = Analysis.sorts_below_projection q in
   let with_agg =
     if q.group_by <> [] || Analysis.has_aggregate q then
       Plan.Aggregate { input = plan; group_by = q.group_by; select = q.select; rows = out_rows }
-    else Plan.Project { input = plan; select = q.select; rows = Plan.rows plan }
+    else
+      let input = if below then sort plan else plan in
+      Plan.Project { input; select = q.select; rows = Plan.rows plan }
   in
   let with_distinct =
     if q.distinct && not (q.group_by <> [] || Analysis.has_aggregate q) then
       Plan.Distinct { input = with_agg; rows = out_rows }
     else with_agg
   in
-  let with_sort =
-    if q.order_by <> [] && not (Plan.satisfies_order with_distinct q.order_by) then
-      Plan.Sort { input = with_distinct; keys = q.order_by; rows = Plan.rows with_distinct }
-    else with_distinct
-  in
+  let with_sort = if below then with_distinct else sort with_distinct in
   let subset = List.sort String.compare (Analysis.aliases q) in
   {
     subset;

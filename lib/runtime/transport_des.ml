@@ -12,8 +12,7 @@ let create rt ~buyer ~nodes =
   let failed : int list ref = ref [] in
   let pending = ref None in
   {
-    Transport.label = "des";
-    alive = (fun id -> Runtime.alive rt id);
+    Transport.alive = (fun id -> Runtime.alive rt id);
     broadcast_rfb =
       (fun ~targets ~signatures:_ ~request_bytes ->
         let targets =

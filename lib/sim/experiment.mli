@@ -42,5 +42,3 @@ val compare_all :
   metrics list
 (** QT, global DP, IDP-M(2,5) and two-step on the same problem; optimizers
     that fail are reported with infinite plan cost. *)
-
-val failed : string -> metrics

@@ -38,6 +38,19 @@ let predicates_over (q : Ast.t) aliases_subset =
 let has_aggregate (q : Ast.t) =
   List.exists (function Ast.Sel_agg _ -> true | Ast.Sel_col _ -> false) q.select
 
+let sorts_below_projection (q : Ast.t) =
+  q.order_by <> []
+  && (not (q.group_by <> [] || has_aggregate q))
+  && List.exists
+       (fun ((a : Ast.attr), _) ->
+         not
+           (List.exists
+              (function
+                | Ast.Sel_col c -> Ast.equal_attr c a || (c.rel = a.rel && c.name = "*")
+                | Ast.Sel_agg _ -> false)
+              q.select))
+       q.order_by
+
 let join_graph q =
   let edge_of p =
     match predicate_aliases p with

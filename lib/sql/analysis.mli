@@ -21,6 +21,10 @@ val selection_predicates : Ast.t -> Ast.predicate list
 
 val has_aggregate : Ast.t -> bool
 
+val sorts_below_projection : Ast.t -> bool
+(** Whether the ORDER BY must run before the SELECT projection: a
+    non-aggregate query ordered by a column its SELECT list drops. *)
+
 val join_graph : Ast.t -> (string * string) list
 (** Undirected edges between aliases induced by join predicates,
     deduplicated, each edge with its endpoints in lexicographic order. *)

@@ -150,7 +150,3 @@ let percentile t p =
     in
     float_of_int b_lo +. (frac *. float_of_int (b_hi - b_lo))
   end
-
-let pp ppf t =
-  Format.fprintf ppf "hist[%d,%d] %d buckets, %.0f rows" t.lo t.hi (bucket_count t)
-    (total t)

@@ -58,5 +58,3 @@ val sample : t -> Rng.t -> int
 (** Draw a value from the histogram's distribution: a bucket weighted by
     its mass, then uniform within the bucket.
     @raise Invalid_argument on an empty histogram. *)
-
-val pp : Format.formatter -> t -> unit

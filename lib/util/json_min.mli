@@ -16,6 +16,12 @@ type t =
 
 exception Parse_error of string
 
+val quote : string -> string
+(** [s] as a JSON string literal: quotes, backslash, newline and tab
+    escaped, other control bytes as [\u00XX]; every other byte (UTF-8
+    included) passes through.  The one string writer behind every JSON
+    artifact the tree emits. *)
+
 val parse : string -> t
 (** Parse one complete JSON value; trailing non-whitespace is an error.
     @raise Parse_error with an offset-bearing message on malformed

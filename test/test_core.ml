@@ -682,6 +682,35 @@ let test_subcontracting_disabled_means_no_imports () =
         Alcotest.(check bool) "no imports when disabled" true (x.imports = []))
       o.Trader.purchased
 
+let test_qt_order_by_unselected_column () =
+  (* The ORDER BY key is not in the SELECT list, so both the buyer's plan
+     and the oracle must sort beneath the projection. *)
+  let check fed sql = Helpers.assert_qt_correct fed (parse sql) in
+  ignore
+    (check (Helpers.telecom_federation ())
+       "SELECT c.custid, il.charge FROM customer c, invoiceline il \
+        WHERE c.custid = il.custid ORDER BY il.custid"
+      : Trader.outcome);
+  let fed = Helpers.chain_federation () in
+  ignore
+    (check fed
+       "SELECT r0.val, r1.tag FROM r0, r1, r2 \
+        WHERE r0.id = r1.id AND r1.id = r2.id ORDER BY r2.id"
+      : Trader.outcome);
+  (* r1.id equals the hidden key r2.id row by row, so the delivered order
+     is visible through it. *)
+  let outcome =
+    check fed
+      "SELECT r1.id, r0.val FROM r0, r1, r2 \
+       WHERE r0.id = r1.id AND r1.id = r2.id ORDER BY r2.id DESC"
+  in
+  let store = Qt_exec.Store.generate ~seed:11 fed in
+  let result = Qt_exec.Engine.run store fed outcome.Trader.plan in
+  let keys = List.map (fun r -> r.(0)) result.Qt_exec.Table.rows in
+  Alcotest.(check bool) "rows" true (keys <> []);
+  Alcotest.(check bool) "delivered in descending r2.id order" true
+    (List.sort (fun a b -> Qt_exec.Value.compare b a) keys = keys)
+
 let test_qt_ordered_query_delivers_sorted () =
   (* ORDER BY queries: the executed plan must deliver rows in order even
      when the optimizer absorbed the Sort into a merge join or a sorted
@@ -916,6 +945,7 @@ let suite =
       quick "QT random correctness property" test_qt_random_correctness_property;
       quick "QT skewed data" test_qt_correct_on_skewed_data;
       quick "QT ordered delivery" test_qt_ordered_query_delivers_sorted;
+      quick "QT ORDER BY an unselected column" test_qt_order_by_unselected_column;
       quick "subcontracting completes offers" test_subcontracting_completes_offers;
       quick "subcontracted plan executes" test_subcontracted_plan_executes_correctly;
       quick "subcontracting off means no imports" test_subcontracting_disabled_means_no_imports;

@@ -8,6 +8,9 @@ module Admission = Qt_market.Admission
 module Sla = Qt_stream.Sla
 module Arrivals = Qt_stream.Arrivals
 module Shedding = Qt_stream.Shedding
+module Tier = Qt_cache.Tier
+module Pricing = Qt_pricing.Pricing
+module Slo = Qt_obs.Slo
 open Helpers
 
 let params = Qt_cost.Params.default
@@ -185,14 +188,14 @@ let scfg ?(slots = 2) ?(queue = 4) ?(retries = 2) ?spec_of ?(shedding = Shedding
     shedding;
   }
 
-let accounting_identity (s : Market.stream_stats) =
-  Alcotest.(check int) "arrivals = completed + shed + expired + failed"
+let accounting_identity ?(case = "") (s : Market.stream_stats) =
+  Alcotest.(check int) (case ^ "arrivals = completed + shed + expired + failed")
     s.Market.str_arrivals
     (s.Market.str_completed + s.Market.str_shed + s.Market.str_expired
    + s.Market.str_failed);
   List.iter
     (fun (c : Market.class_stats) ->
-      Alcotest.(check int) "per-class accounting closes" c.Market.cs_arrivals
+      Alcotest.(check int) (case ^ "per-class accounting closes") c.Market.cs_arrivals
         (c.Market.cs_completed + c.Market.cs_shed + c.Market.cs_expired
        + c.Market.cs_failed))
     s.Market.str_classes;
@@ -204,7 +207,7 @@ let accounting_identity (s : Market.stream_stats) =
     (fun (x : Market.seller_stats) ->
       let a = x.Market.admission in
       Alcotest.(check int)
-        (Printf.sprintf "seller %d: accepted = completed + canceled"
+        (Printf.sprintf "%sseller %d: accepted = completed + canceled" case
            x.Market.seller)
         a.Admission.accepted
         (a.Admission.completed + a.Admission.canceled))
@@ -352,6 +355,75 @@ let test_stream_empty_pool_rejected () =
     (Invalid_argument "Market.run_stream: empty template pool") (fun () ->
       ignore (Market.run_stream (scfg ()) federation ~templates:[||] []))
 
+let test_stream_unknown_slo_subject_rejected () =
+  let federation = stream_federation () and templates = stream_templates () in
+  let run spec =
+    let rule = Result.get_ok (Slo.parse spec) in
+    let telemetry = Some { Market.default_telemetry with Market.slo_rules = [ rule ] } in
+    Market.run_stream { (scfg ()) with Market.telemetry } federation ~templates
+      (gen ~horizon:(Arrivals.Count 4) ~templates:(Array.length templates) ())
+  in
+  List.iter
+    (fun spec -> ignore (run spec : Market.stream_stats))
+    [ "stream:p95<5:budget=0.01"; "batch:goodput>0.5:budget=0.1" ];
+  List.iter
+    (fun spec ->
+      Alcotest.(check bool) (spec ^ " rejected") true
+        (match run spec with
+        | _ -> false
+        | exception Invalid_argument _ -> true))
+    [ "interactve:p95<5:budget=0.01"; "all:goodput>0.5:budget=0.1" ]
+
+(* The trade lifecycle across the feature matrix: under every mix of
+   cache placement, pricing, shedding and execution, each arrival of an
+   overloaded stream ends exactly once (in total and per class), sellers
+   resolve every contract, and turning telemetry on changes nothing but
+   the telemetry block. *)
+let test_lifecycle_matrix () =
+  let federation = stream_federation () and templates = stream_templates () in
+  let arrivals =
+    gen ~process:(Arrivals.Poisson { rate = 20. }) ~horizon:(Arrivals.Count 40)
+      ~templates:(Array.length templates) ()
+  in
+  (* Tight interactive deadlines, so trades expire as well as fail. *)
+  let spec_of k =
+    let s = Sla.default_spec k in
+    if k = Sla.Interactive then { s with Sla.deadline = 0.1 } else s
+  in
+  let slo = Result.get_ok (Slo.parse "interactive:p95<0.5:budget=0.01") in
+  let surge = { Pricing.default_config with Pricing.mix = Pricing.uniform_mix Pricing.Surge } in
+  let run ~cache ~pricing ~shedding ~execute telemetry =
+    let d = scfg ~slots:1 ~queue:2 ~spec_of ~shedding () in
+    let qcache =
+      Option.map
+        (fun placement -> Tier.create { Tier.default_config with Tier.placement; clients = 3 })
+        cache
+    in
+    (* A 100 s latency domain keeps the scraped histograms small. *)
+    Market.run_stream
+      {
+        d with
+        Market.base = { d.Market.base with Market.qcache; pricing; execute };
+        telemetry;
+        latency_domain = 100.;
+      }
+      federation ~templates arrivals
+  in
+  let each xs f = List.iter f xs in
+  each [ ("off", None); ("shared", Some Tier.Shared); ("client", Some Tier.Client) ]
+  @@ fun (cn, cache) ->
+  each [ ("off", None); ("surge", Some surge) ] @@ fun (pn, pricing) ->
+  each [ ("off", Shedding.Keep_all); ("occupancy:0.9", Shedding.Occupancy 0.9) ]
+  @@ fun (sn, shedding) ->
+  each [ ("off", None); ("on", Some Market.default_exec) ] @@ fun (en, execute) ->
+  let case = Printf.sprintf "cache %s, pricing %s, shedding %s, execute %s: " cn pn sn en in
+  let run = run ~cache ~pricing ~shedding ~execute in
+  let off = run None in
+  let on = run (Some { Market.default_telemetry with Market.slo_rules = [ slo ] }) in
+  accounting_identity ~case off;
+  Alcotest.(check bool) (case ^ "telemetry changes only its own block") true
+    ({ on with Market.str_telemetry = None } = off)
+
 (* Per-seller contract conservation after an overloaded [Market.run] or
    [run_stream]: every accepted contract completed or was canceled, and
    [accepted - admitted] is exactly the contracts canceled while still
@@ -477,4 +549,7 @@ let suite =
         test_conservation_overload;
       quick "admission: stale completion after cancel is dropped"
         test_admission_stale_completion;
+      quick "run_stream: unknown SLO subject rejected"
+        test_stream_unknown_slo_subject_rejected;
+      quick "run_stream: lifecycle across the feature matrix" test_lifecycle_matrix;
     ] )

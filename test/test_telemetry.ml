@@ -391,7 +391,7 @@ let telemetry_scfg ?pool ?(latency_domain = 1000.) ?(slo = []) ?telemetry () =
     latency_domain;
   }
 
-let run_overload ?pool ?latency_domain ?telemetry ?(slo = []) ?(count = 400) () =
+let run_overload ?obs ?pool ?latency_domain ?telemetry ?(slo = []) ?(count = 400) () =
   let federation = stream_federation () in
   let templates = stream_templates () in
   let arrivals =
@@ -400,7 +400,7 @@ let run_overload ?pool ?latency_domain ?telemetry ?(slo = []) ?(count = 400) () 
       ~horizon:(Arrivals.Count count) ~templates:(Array.length templates)
       ~theta:0.9 ~mix:Sla.default_mix
   in
-  Market.run_stream
+  Market.run_stream ?obs
     (telemetry_scfg ?pool ?latency_domain ?telemetry ~slo ())
     federation ~templates arrivals
 
@@ -482,6 +482,38 @@ let test_stream_telemetry_off_identity () =
     "splicing the telemetry block yields the telemetry-off bytes"
     (Market.stream_to_json off) (splice_telemetry on_json)
 
+(* Every JSON artifact of a run stays parseable whatever its strings
+   hold: a rule name with UTF-8, quotes, a tab and a newline goes through
+   the report, the series dump and the Chrome trace, and reads back. *)
+let test_stream_json_quoting () =
+  let name = "\195\169 \"p95\"\t\\ok\n" in
+  let rule = { (overload_rule ()) with Slo.r_name = name } in
+  let obs = Qt_obs.Obs.create () in
+  let s = run_overload ~obs ~slo:[ rule ] ~count:120 () in
+  let tel = Option.get s.Market.str_telemetry in
+  let parse what text =
+    match Json.parse_opt text with
+    | Some v -> v
+    | None -> Alcotest.failf "%s is not valid JSON" what
+  in
+  let report = parse "stream_to_json" (Market.stream_to_json s) in
+  (match Option.bind (Json.field report "telemetry") (fun t -> Json.field t "rules") with
+  | Some (Json.List [ Json.String n ]) -> Alcotest.(check string) "rule name reads back" name n
+  | _ -> Alcotest.fail "telemetry.rules missing");
+  String.split_on_char '\n' (Market.telemetry_jsonl tel)
+  |> List.iter (fun line -> if line <> "" then ignore (parse "a series line" line : Json.t));
+  Alcotest.(check bool) "an alert fired" true (tel.Market.tl_alerts <> []);
+  let counters =
+    [ ("stream.goodput",
+       List.filter_map
+         (fun (p : Timeseries.point) ->
+           if p.Timeseries.pt_series = "stream.goodput" then
+             Some (p.Timeseries.pt_time, p.Timeseries.pt_value)
+           else None)
+         tel.Market.tl_points) ]
+  in
+  ignore (parse "the Chrome trace" (Qt_obs.Chrome_trace.to_json ~counters obs) : Json.t)
+
 let test_latency_domain () =
   (* The 1000-second default is the historical fixed domain: passing it
      explicitly must not change a byte. *)
@@ -519,4 +551,5 @@ let suite =
       quick "run_stream: telemetry off leaves output byte-identical"
         test_stream_telemetry_off_identity;
       quick "run_stream: latency histogram domain" test_latency_domain;
+      quick "run_stream: every JSON artifact quotes its strings" test_stream_json_quoting;
     ] )
