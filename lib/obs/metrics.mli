@@ -66,8 +66,8 @@ val items : t -> (string * view) list
 
 val histo_buckets : histo -> Qt_util.Histogram.t
 (** The live underlying histogram (scaled integer units).  Callers may
-    snapshot it with {!Qt_util.Histogram.copy} to compute windowed
-    deltas; mutating it directly would corrupt the metric. *)
+    take windowed deltas of it with {!Qt_util.Histogram.window};
+    mutating it directly would corrupt the metric. *)
 
 val histo_scale : histo -> float
 (** Raw-unit multiplier: divide {!Qt_util.Histogram.percentile} results

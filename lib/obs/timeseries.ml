@@ -14,10 +14,12 @@ type t = {
   mutable ts_points : point list;
   mutable ts_npoints : int;
   prev_counters : (string, int) Hashtbl.t;
-  prev_histos : (string, Histogram.t) Hashtbl.t;
+  (* Each histogram's bucket counts at the previous scrape, allocated at
+     its first scrape and updated in place by [Histogram.window]. *)
+  prev_histos : (string, float array) Hashtbl.t;
   (* Results of the most recent scrape, for SLO evaluation. *)
   window_counters : (string, float) Hashtbl.t;
-  window_histos : (string, Histogram.t * float) Hashtbl.t;
+  window_histos : (string, Histogram.window * float) Hashtbl.t;
   lasts : (string, float) Hashtbl.t;
 }
 
@@ -69,22 +71,25 @@ let scrape t ~now =
         emit t ~now (name ^ ".rate") (delta /. t.ts_interval)
       | Metrics.V_gauge g -> emit t ~now name (Metrics.gauge_value g)
       | Metrics.V_histo h ->
-        let cur = Histogram.copy (Metrics.histo_buckets h) in
-        let window =
+        let live = Metrics.histo_buckets h in
+        let prev =
           match Hashtbl.find_opt t.prev_histos name with
-          | Some prev -> Histogram.diff cur prev
-          | None -> cur
+          | Some prev -> prev
+          | None ->
+            let prev = Array.make (Histogram.bucket_count live) 0. in
+            Hashtbl.replace t.prev_histos name prev;
+            prev
         in
-        Hashtbl.replace t.prev_histos name cur;
+        let window = Histogram.window live ~prev in
         let scale = Metrics.histo_scale h in
         Hashtbl.replace t.window_histos name (window, scale);
-        let count = Histogram.total window in
+        let count = Histogram.window_total window in
         emit t ~now (name ^ ".count") count;
         if count > 0. then
           List.iter
             (fun (suffix, p) ->
               emit t ~now (name ^ suffix)
-                (Histogram.percentile window p /. scale))
+                (Histogram.window_percentile window p /. scale))
             [ (".p50", 0.5); (".p95", 0.95); (".p99", 0.99) ])
     (Metrics.items t.ts_metrics);
   t.ts_ticks <- t.ts_ticks + 1;
@@ -101,14 +106,11 @@ let window_above t name threshold =
   match Hashtbl.find_opt t.window_histos name with
   | None -> None
   | Some (window, scale) ->
-    let total = Histogram.total window in
-    let dom = Histogram.domain window in
+    let total = Histogram.window_total window in
     let thr = int_of_float (Float.max 0. (threshold *. scale)) in
     let below =
       if thr <= 0 then 0.
-      else
-        Histogram.mass_in window
-          (Interval.inter dom (Interval.make 0 (thr - 1)))
+      else Histogram.window_mass_in window (Interval.make 0 (thr - 1))
     in
     Some (Float.max 0. (total -. below), total)
 

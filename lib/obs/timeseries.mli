@@ -4,10 +4,13 @@
     sim-time series: at each scrape tick (a deterministic sim-time
     interval, scheduled by the caller on its event loop) counters become
     windowed rates, gauges are sampled, and histograms yield per-window
-    p50/p95/p99 by snapshot-diffing the underlying buckets.  Scraping
-    only reads — it never advances any clock or mutates the metrics —
-    so a run with scraping on follows exactly the trajectory of the same
-    run with scraping off.
+    p50/p95/p99 from a sparse {!Qt_util.Histogram.window}: the buckets
+    that grew since the previous scrape, found by one allocation-free
+    pass against a previous-count array kept per histogram, so a tick
+    costs what changed rather than a copy of every bucket.  Scraping
+    only reads the metrics — it never advances any clock or mutates
+    them — so a run with scraping on follows exactly the trajectory of
+    the same run with scraping off.
 
     Series naming: a counter [c] emits [c.rate] (delta per second of the
     window), a gauge [g] emits [g], and a histogram [h] emits [h.count]

@@ -237,6 +237,13 @@ let parse input =
       order_by = List.map (fun (a, o) -> (resolve_attr from a, o)) order_by;
     }
   in
+  (* Rows that DISTINCT merges may differ on a key outside the SELECT
+     list, so such a key orders nothing (standard SQL rejects it). *)
+  let selected (a : Ast.attr) =
+    List.mem (Ast.Sel_col a) q.select || List.mem (Ast.Sel_col { a with name = "*" }) q.select
+  in
+  if q.distinct && not (List.for_all (fun (a, _) -> selected a) q.order_by) then
+    fail "ORDER BY key outside the SELECT list of a DISTINCT query";
   q
 
 let parse_result input =

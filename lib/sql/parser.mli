@@ -16,6 +16,9 @@
     ord      ::= attr [ASC | DESC]
     v}
 
+    In a DISTINCT query every ORDER BY key must be a column of the
+    SELECT list.
+
     Unqualified attributes are resolved against the FROM clause when exactly
     one relation is present; otherwise they are an error (autonomous peers
     cannot guess each other's schemas). *)

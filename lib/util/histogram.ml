@@ -8,7 +8,6 @@ let create ~lo ~hi ~buckets =
   { lo; hi; counts = Array.make (min buckets (hi - lo + 1)) 0. }
 
 let bucket_count t = Array.length t.counts
-let domain t = Interval.make t.lo t.hi
 
 let width t = t.hi - t.lo + 1
 
@@ -68,42 +67,99 @@ let zipf ~lo ~hi ~buckets ~total ~theta =
     t
   end
 
-let total t = Array.fold_left ( +. ) 0. t.counts
+(* The kernels read the (bucket, count) pairs [(at.(k), c.(k))] of [t]'s
+   shape in ascending bucket order, or [(k, c.(k))] when [at] is empty
+   (dense counts).  Loops over local float refs allocate nothing and add
+   in the dense fold's order, so the nonzero buckets alone give the
+   dense result bit for bit. *)
+let pair_bucket at k = if Array.length at = 0 then k else at.(k)
 
-let copy t = { t with counts = Array.copy t.counts }
+(* Bucket [b] covers [bucket_lo t b, bucket_hi t b]. *)
+let bucket_lo t b = t.lo + (b * width t / bucket_count t)
+let bucket_hi t b = max (bucket_lo t b) (bucket_lo t (b + 1) - 1)
 
-let diff cur prev =
-  if cur.lo <> prev.lo || cur.hi <> prev.hi
-     || bucket_count cur <> bucket_count prev
-  then invalid_arg "Histogram.diff: mismatched domains";
-  {
-    cur with
-    counts =
-      Array.mapi
-        (fun b c -> Float.max 0. (c -. prev.counts.(b)))
-        cur.counts;
-  }
+let sum c =
+  let acc = ref 0. in
+  for k = 0 to Array.length c - 1 do
+    acc := !acc +. c.(k)
+  done;
+  !acc
 
-let mass_in t itv =
-  let clipped = Interval.inter itv (domain t) in
-  if Interval.is_empty clipped then 0.
+let mass_kernel t at c (itv : Interval.t) =
+  let c_lo = max t.lo itv.lo and c_hi = min t.hi itv.hi in
+  let acc = ref 0. in
+  (* Only buckets meeting [c_lo, c_hi] add anything: dense counts start
+     at or before the bucket holding [c_lo]; the walk stops past [c_hi]. *)
+  let k = ref (if Array.length at = 0 then (c_lo - t.lo) * bucket_count t / width t else 0) in
+  while c_lo <= c_hi && !k < Array.length c do
+    let b = pair_bucket at !k in
+    let b_lo = bucket_lo t b in
+    if b_lo > c_hi then k := Array.length c
+    else begin
+      let b_hi = max b_lo (bucket_lo t (b + 1) - 1) in
+      let o_lo = max b_lo c_lo and o_hi = min b_hi c_hi in
+      if o_lo <= o_hi then
+        acc :=
+          !acc
+          +. c.(!k) *. (float_of_int (o_hi - o_lo + 1) /. float_of_int (b_hi - b_lo + 1));
+      incr k
+    end
+  done;
+  !acc
+
+let percentile_kernel t at c p =
+  let p = Float.max 0. (Float.min 1. p) in
+  let tot = sum c in
+  if tot <= 0. then float_of_int t.lo
   else begin
-    let n = bucket_count t in
-    let acc = ref 0. in
-    for b = 0 to n - 1 do
-      let b_lo = t.lo + (b * width t / n) in
-      let b_hi = t.lo + (((b + 1) * width t / n) - 1) in
-      let bucket_itv = Interval.make b_lo (max b_lo b_hi) in
-      let overlap = Interval.inter bucket_itv clipped in
-      if not (Interval.is_empty overlap) then begin
-        let frac =
-          float_of_int (Interval.width overlap) /. float_of_int (Interval.width bucket_itv)
-        in
-        acc := !acc +. (t.counts.(b) *. frac)
-      end
+    let target = p *. tot and len = Array.length c in
+    (* The first bucket whose cumulative mass reaches the target; failing
+       that, the last bucket. *)
+    let k = ref (-1) and acc = ref 0. and found = ref false in
+    while (not !found) && !k < len - 1 do
+      incr k;
+      acc := !acc +. c.(!k);
+      found := !acc >= target && c.(!k) > 0.
     done;
-    !acc
+    let b = if !found then pair_bucket at !k else bucket_count t - 1 in
+    let here = pair_bucket at !k = b in
+    let cb = if here then c.(!k) else 0. in
+    (* The rank below the bucket, summed backwards. *)
+    let before = ref 0. in
+    for j = (if here then !k - 1 else !k) downto 0 do
+      before := !before +. c.(j)
+    done;
+    (* Linear interpolation of the target rank within the bucket span. *)
+    let frac =
+      if cb <= 0. then 0. else Float.max 0. (Float.min 1. ((target -. !before) /. cb))
+    in
+    float_of_int (bucket_lo t b) +. (frac *. float_of_int (bucket_hi t b - bucket_lo t b))
   end
+
+let total t = sum t.counts
+let mass_in t itv = mass_kernel t [||] t.counts itv
+let percentile t p = percentile_kernel t [||] t.counts p
+
+(* [shape] is the live histogram, read for its domain and bucket count. *)
+type window = { shape : t; at : int array; grown : float array }
+
+let window t ~prev =
+  if Array.length prev <> bucket_count t then
+    invalid_arg "Histogram.window: prev does not match the bucket count";
+  let grown = ref [] in
+  for b = bucket_count t - 1 downto 0 do
+    let c = t.counts.(b) and p = prev.(b) in
+    if c <> p then begin
+      if c > p then grown := (b, c -. p) :: !grown;
+      prev.(b) <- c
+    end
+  done;
+  { shape = t; at = Array.of_list (List.map fst !grown);
+    grown = Array.of_list (List.map snd !grown) }
+
+let window_total w = sum w.grown
+let window_mass_in w itv = mass_kernel w.shape w.at w.grown itv
+let window_percentile w p = percentile_kernel w.shape w.at w.grown p
 
 let fraction_in t itv =
   let tot = total t in
@@ -121,32 +177,5 @@ let sample t rng =
       if target < acc then b else go (b + 1) acc
   in
   let b = go 0 0. in
-  let b_lo = t.lo + (b * width t / n) in
-  let b_hi = max b_lo (t.lo + (((b + 1) * width t / n) - 1)) in
-  Rng.int_in rng b_lo b_hi
+  Rng.int_in rng (bucket_lo t b) (bucket_hi t b)
 
-let percentile t p =
-  let p = Float.max 0. (Float.min 1. p) in
-  let tot = total t in
-  if tot <= 0. then float_of_int t.lo
-  else begin
-    let target = p *. tot in
-    let n = bucket_count t in
-    let rec go b acc =
-      if b >= n then n - 1
-      else
-        let acc' = acc +. t.counts.(b) in
-        if acc' >= target && t.counts.(b) > 0. then b else go (b + 1) acc'
-    in
-    let rec cum b acc = if b < 0 then acc else cum (b - 1) (acc +. t.counts.(b)) in
-    let b = go 0 0. in
-    let before = cum (b - 1) 0. in
-    let b_lo = t.lo + (b * width t / n) in
-    let b_hi = max b_lo (t.lo + (((b + 1) * width t / n) - 1)) in
-    (* Linear interpolation of the target rank within the bucket span. *)
-    let frac =
-      if t.counts.(b) <= 0. then 0.
-      else Float.max 0. (Float.min 1. ((target -. before) /. t.counts.(b)))
-    in
-    float_of_int b_lo +. (frac *. float_of_int (b_hi - b_lo))
-  end

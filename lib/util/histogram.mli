@@ -28,16 +28,8 @@ val add : t -> int -> unit
 (** Count one occurrence. *)
 
 val total : t -> float
-
-val copy : t -> t
-(** Independent snapshot; later {!add}s to either side do not affect the
-    other. *)
-
-val diff : t -> t -> t
-(** [diff cur prev] is the bucketwise difference [cur - prev] clamped at
-    zero — the mass added between two snapshots of the same histogram,
-    suitable for windowed percentiles.
-    @raise Invalid_argument if the domains or bucket counts differ. *)
+(** Sum of the bucket counts, in bucket order.  {!total}, {!mass_in}
+    and {!percentile} allocate nothing per bucket. *)
 
 val mass_in : t -> Interval.t -> float
 (** Estimated rows with values inside the interval (clipped to the
@@ -46,7 +38,7 @@ val mass_in : t -> Interval.t -> float
 val fraction_in : t -> Interval.t -> float
 (** [mass_in] normalized by {!total}; 0 when the histogram is empty. *)
 
-val domain : t -> Interval.t
+val bucket_count : t -> int
 
 val percentile : t -> float -> float
 (** [percentile t p] is the interpolated value at quantile [p] (clamped
@@ -58,3 +50,21 @@ val sample : t -> Rng.t -> int
 (** Draw a value from the histogram's distribution: a bucket weighted by
     its mass, then uniform within the bucket.
     @raise Invalid_argument on an empty histogram. *)
+
+type window
+(** A histogram's growth [max 0 (cur - prev)] between two scrapes, held
+    as its nonzero (bucket, count) pairs in ascending bucket order. *)
+
+val window : t -> prev:float array -> window
+(** [window t ~prev] is [t]'s growth since [prev], its bucket counts at
+    the previous scrape ([Array.make (bucket_count t) 0.] before the
+    first): one pass over the buckets that allocates only for those that
+    grew, leaving [prev] equal to [t]'s counts.
+    @raise Invalid_argument if [prev] is not [bucket_count t] long. *)
+
+val window_total : window -> float
+val window_percentile : window -> float -> float
+
+val window_mass_in : window -> Interval.t -> float
+(** {!total}, {!percentile} and {!mass_in} of the window, bit for bit
+    those of a dense histogram holding its counts. *)

@@ -78,12 +78,15 @@ let parse (s : string) : t =
         | Some 'f' -> Buffer.add_char b '\012'; advance (); go ()
         | Some 'u' ->
           advance ();
-          if !pos + 4 > n then fail "bad unicode escape";
+          let hex i = String.contains "0123456789abcdefABCDEF" s.[!pos + i] in
+          if !pos + 4 > n || not (hex 0 && hex 1 && hex 2 && hex 3) then
+            fail "bad unicode escape";
           (* Decoded codepoints are only compared, never re-rendered. *)
           Buffer.add_string b (String.sub s !pos 4);
           pos := !pos + 4;
           go ()
         | _ -> fail "bad escape")
+      | Some c when Char.code c < 0x20 -> fail "raw control character in string"
       | Some c ->
         Buffer.add_char b c;
         advance ();

@@ -23,7 +23,9 @@ val quote : string -> string
     artifact the tree emits. *)
 
 val parse : string -> t
-(** Parse one complete JSON value; trailing non-whitespace is an error.
+(** Parse one complete JSON value; trailing non-whitespace is an error,
+    and so are a raw control byte (below 0x20) inside a string and a
+    [\u] not followed by four hex digits, as in RFC 8259.
     @raise Parse_error with an offset-bearing message on malformed
     input. *)
 

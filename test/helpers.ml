@@ -5,6 +5,8 @@ module Interval = Qt_util.Interval
 
 let parse = Qt_sql.Parser.parse
 
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
 let check_query msg expected actual =
   Alcotest.(check string)
     msg

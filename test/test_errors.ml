@@ -35,7 +35,8 @@ let test_histogram_errors () =
   raises_invalid (fun () -> Qt_util.Histogram.create ~lo:5 ~hi:4 ~buckets:4);
   raises_invalid (fun () -> Qt_util.Histogram.create ~lo:0 ~hi:9 ~buckets:0);
   let empty = Qt_util.Histogram.create ~lo:0 ~hi:9 ~buckets:2 in
-  raises_invalid (fun () -> Qt_util.Histogram.sample empty (Rng.create 1))
+  raises_invalid (fun () -> Qt_util.Histogram.sample empty (Rng.create 1));
+  raises_invalid (fun () -> Qt_util.Histogram.window empty ~prev:[| 0. |])
 
 let test_value_errors () =
   raises_invalid (fun () -> Value.to_float (Value.V_string "x"));

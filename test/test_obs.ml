@@ -257,6 +257,18 @@ let test_validator_rejects () =
   reject "time going backwards"
     "{\"traceEvents\":[{\"name\":\"x\",\"ph\":\"I\",\"pid\":1,\"tid\":1,\"ts\":5},\
      {\"name\":\"y\",\"ph\":\"I\",\"pid\":1,\"tid\":1,\"ts\":1}]}";
+  (* RFC 8259 strings: no raw control bytes, four hex digits after \u. *)
+  let named name =
+    Printf.sprintf
+      "{\"traceEvents\":[{\"name\":%s,\"ph\":\"I\",\"pid\":1,\"tid\":1,\"ts\":0}]}"
+      name
+  in
+  reject "raw tab in a name" (named "\"a\tb\"");
+  reject "raw control byte in a name" (named "\"a\001b\"");
+  reject "non-hex unicode escape" (named "\"a\\uZZZZb\"");
+  (match Chrome.validate (named (Qt_util.Json_min.quote "a\tb\001\"\\\n\u{e9}")) with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "quoted control bytes rejected: %s" e);
   match
     Chrome.validate
       "{\"traceEvents\":[{\"name\":\"x\",\"ph\":\"B\",\"pid\":1,\"tid\":1,\"ts\":0},\

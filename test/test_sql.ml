@@ -108,6 +108,26 @@ let test_parse_errors () =
       | Ok _ -> Alcotest.failf "accepted bad SQL: %s" sql)
     bad
 
+(* DISTINCT merges rows that may differ on a key outside the SELECT list,
+   so ordering by such a key is rejected; a selected key, or one under a
+   selected star, still parses. *)
+let test_parse_distinct_order_by () =
+  (match
+     Parser.parse_result
+       "SELECT DISTINCT c.custname FROM customer c WHERE c.custid < 50 \
+        ORDER BY c.office"
+   with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "accepted DISTINCT ordered by an unselected key");
+  let q =
+    parse
+      "SELECT DISTINCT c.custname, c.office FROM customer c WHERE c.custid < 50 \
+       ORDER BY c.office DESC, c.custname"
+  in
+  Alcotest.(check int) "two order keys" 2 (List.length q.Ast.order_by);
+  let q = parse "SELECT DISTINCT c.* FROM customer c ORDER BY c.office" in
+  Alcotest.(check int) "star covers the key" 1 (List.length q.Ast.order_by)
+
 let test_parse_alias_star () =
   let q = parse "SELECT t.* FROM t WHERE t.x = 1" in
   match q.Ast.select with
@@ -511,6 +531,7 @@ let suite =
       quick "parse full" test_parse_full;
       quick "parse unqualified" test_parse_unqualified_resolution;
       quick "parse errors" test_parse_errors;
+      quick "parse distinct order by" test_parse_distinct_order_by;
       quick "parse alias star" test_parse_alias_star;
       quick "roundtrip cases" test_print_parse_roundtrip_cases;
       QCheck_alcotest.to_alcotest prop_print_parse_roundtrip;

@@ -62,6 +62,111 @@ let test_timeseries_scrape () =
        false
      with Invalid_argument _ -> true)
 
+(* Sparse scrape windows against the dense copy/diff computation they
+   replace, re-created here on [Histogram_oracle]: window count,
+   p50/p95/p99 and [window_above] must agree bit for bit.  "lat.a" is
+   registered up front; "lat.b" at its first observation, so often after
+   the first tick.  Values run past both domain edges, scrapes may see
+   empty windows, and most thresholds sit on bucket boundaries. *)
+type ts_step = Observe of int * float | Scrape
+
+let prop_timeseries_windows_match_dense =
+  let open QCheck2.Gen in
+  let step =
+    frequency
+      [
+        (3, map (fun v -> Observe (0, v)) (float_range (-50.) 1100.));
+        (2, map (fun v -> Observe (1, v)) (float_range (-1.) 60.));
+        (1, return Scrape);
+      ]
+  in
+  let threshold =
+    oneof
+      [
+        float_range (-10.) 1200.;
+        map (fun b -> float_of_int (b * 1000 / 37)) (int_range 0 37);
+        map (fun b -> float_of_int (b * 50) /. 100.) (int_range 0 100);
+      ]
+  in
+  QCheck2.Test.make ~name:"timeseries sparse windows equal dense copy/diff"
+    ~count:200
+    (triple bool (list_size (int_range 0 120) step) (list_size (int_range 1 6) threshold))
+    (fun (scrape_first, steps, thresholds) ->
+      let m = Metrics.create () in
+      let ts = Timeseries.create ~interval:1. m in
+      (* name, scale, hi, buckets; each with a dense mirror *)
+      let hs = [| ("lat.a", 1., 999, 37); ("lat.b", 100., 4999, 100) |] in
+      let register i =
+        let name, scale, hi, buckets = hs.(i) in
+        Metrics.histogram ~hi ~buckets ~scale m name
+      in
+      ignore (register 0);
+      let dense =
+        Array.map (fun (_, _, hi, buckets) -> Histogram_oracle.create ~lo:0 ~hi ~buckets) hs
+      in
+      let registered = [| true; false |] and prev = [| None; None |] in
+      let check what c = if not c then QCheck2.Test.fail_reportf "%s differs" what in
+      let now = ref 0. in
+      let scrape () =
+        now := !now +. 1.;
+        Timeseries.scrape ts ~now:!now;
+        Array.iteri
+          (fun i (name, scale, _, _) ->
+            if registered.(i) then begin
+              let cur = Histogram_oracle.copy dense.(i) in
+              let window =
+                match prev.(i) with
+                | Some p -> Histogram_oracle.diff cur p
+                | None -> cur
+              in
+              prev.(i) <- Some cur;
+              let count = Histogram_oracle.total window in
+              check (name ^ ".count")
+                (match Timeseries.last ts (name ^ ".count") with
+                | Some v -> same_bits v count
+                | None -> false);
+              if count > 0. then
+                List.iter
+                  (fun (suffix, p) ->
+                    check (name ^ suffix)
+                      (match Timeseries.last ts (name ^ suffix) with
+                      | Some v -> same_bits v (Histogram_oracle.percentile window p /. scale)
+                      | None -> false))
+                  [ (".p50", 0.5); (".p95", 0.95); (".p99", 0.99) ];
+              List.iter
+                (fun threshold ->
+                  let dom = Histogram_oracle.domain window in
+                  let thr = int_of_float (Float.max 0. (threshold *. scale)) in
+                  let below =
+                    if thr <= 0 then 0.
+                    else
+                      Histogram_oracle.mass_in window
+                        (Interval.inter dom (Interval.make 0 (thr - 1)))
+                  in
+                  check
+                    (Printf.sprintf "%s above %g" name threshold)
+                    (match Timeseries.window_above ts name threshold with
+                    | Some (above, total) ->
+                      same_bits above (Float.max 0. (count -. below)) && same_bits total count
+                    | None -> false))
+                thresholds
+            end
+            else check (name ^ " unscraped") (Timeseries.window_above ts name 1. = None))
+          hs
+      in
+      if scrape_first then scrape ();
+      List.iter
+        (function
+          | Scrape -> scrape ()
+          | Observe (i, v) ->
+            let _, scale, _, _ = hs.(i) in
+            registered.(i) <- true;
+            Metrics.observe (register i) v;
+            Histogram_oracle.add dense.(i) (int_of_float (Float.max 0. (v *. scale))))
+        steps;
+      scrape ();
+      true)
+
 (* ------------------------------------------------------------------ *)
 (* SLO burn-rate engine                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -534,6 +639,7 @@ let suite =
     [
       quick "timeseries: rates, gauges, windows, tick cadence"
         test_timeseries_scrape;
+      QCheck_alcotest.to_alcotest prop_timeseries_windows_match_dense;
       quick "slo: rule grammar" test_slo_parse;
       quick "slo: burn-rate alert timing and re-arm" test_slo_alert_timing;
       quick "slo: severity tiers and dedup folding" test_slo_severity_and_dedup;

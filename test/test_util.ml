@@ -197,6 +197,77 @@ let prop_histogram_mass_additive =
       let right = Histogram.mass_in h (Interval.make (split + 1) 999) in
       Float.abs (left +. right -. Histogram.total h) < 1e-6)
 
+module Oracle = Histogram_oracle
+
+let same_bits = Helpers.same_bits
+
+(* The loop kernels against the fold-based dense code, on every
+   constructor (fractional Zipf and uniform counts included), uneven
+   bucket splits, quantiles outside [0, 1] and intervals past the
+   domain. *)
+let prop_histogram_kernels_match_oracle =
+  let shape =
+    QCheck2.Gen.(
+      let* lo = int_range (-50) 50 in
+      let* width = int_range 1 3000 in
+      let* buckets = int_range 1 200 in
+      let* kind = int_range 0 2 in
+      let* total = float_range 0. 5000. in
+      let* theta = float_range 0. 2. in
+      let* values = list_size (int_range 0 60) (int_range (lo - 20) (lo + width + 20)) in
+      return (lo, lo + width - 1, buckets, kind, total, theta, values))
+  in
+  QCheck2.Test.make ~name:"histogram kernels equal the fold oracle bit for bit"
+    ~count:300
+    QCheck2.Gen.(
+      triple shape (float_range (-0.1) 1.1)
+        (pair (int_range (-100) 3200) (int_range 0 3300)))
+    (fun ((lo, hi, buckets, kind, total, theta, values), p, (i_lo, i_w)) ->
+      let h, o =
+        match kind with
+        | 0 ->
+          ( Histogram.uniform ~lo ~hi ~buckets ~total,
+            Oracle.uniform ~lo ~hi ~buckets ~total )
+        | 1 ->
+          ( Histogram.zipf ~lo ~hi ~buckets ~total ~theta,
+            Oracle.zipf ~lo ~hi ~buckets ~total ~theta )
+        | _ ->
+          ( Histogram.of_values ~lo ~hi ~buckets values,
+            Oracle.of_values ~lo ~hi ~buckets values )
+      in
+      let itv = Interval.make i_lo (i_lo + i_w) in
+      List.for_all Fun.id
+        [
+          same_bits (Histogram.total h) (Oracle.total o);
+          same_bits (Histogram.mass_in h itv) (Oracle.mass_in o itv);
+          same_bits (Histogram.mass_in h Interval.empty) (Oracle.mass_in o Interval.empty);
+          same_bits (Histogram.fraction_in h itv) (Oracle.fraction_in o itv);
+          List.for_all
+            (fun p -> same_bits (Histogram.percentile h p) (Oracle.percentile o p))
+            [ p; 0.; 0.5; 0.95; 0.99; 1. ];
+        ])
+
+(* Every alert and failure bundle's [Metrics.to_json] runs the kernels
+   over the 100k-bucket latency histograms: no allocation per bucket. *)
+let test_histogram_kernels_allocation_free () =
+  let h = Histogram.create ~lo:0 ~hi:99_999_999 ~buckets:100_000 in
+  List.iter (Histogram.add h) [ 5; 1_000; 2_500_000; 2_500_001; 70_000_000; 99_999_999 ];
+  let words f =
+    let before = Gc.minor_words () in
+    ignore (Sys.opaque_identity (f ()));
+    Gc.minor_words () -. before
+  in
+  let itv = Interval.make 0 2_500_000 in
+  List.iter
+    (fun (name, f) ->
+      let w = words f in
+      if w >= 100. then Alcotest.failf "%s allocated %.0f minor words" name w)
+    [
+      ("total", fun () -> Histogram.total h);
+      ("percentile", fun () -> Histogram.percentile h 0.95);
+      ("mass_in", fun () -> Histogram.mass_in h itv);
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Listx                                                                *)
 (* ------------------------------------------------------------------ *)
@@ -298,6 +369,8 @@ let suite =
       quick "histogram zipf skew" test_histogram_zipf_skew;
       quick "histogram sample" test_histogram_sample;
       QCheck_alcotest.to_alcotest prop_histogram_mass_additive;
+      QCheck_alcotest.to_alcotest prop_histogram_kernels_match_oracle;
+      quick "histogram kernels allocation-free" test_histogram_kernels_allocation_free;
       quick "listx basics" test_listx_basics;
       quick "listx group_by" test_listx_group_by;
       quick "texttable" test_texttable;
